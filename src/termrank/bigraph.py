@@ -9,10 +9,11 @@ pure function, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 from .errors import InstanceError
 
@@ -56,6 +57,41 @@ def supermasks(base: int, universe: int) -> Iterator[int]:
     """Yield every mask between ``base`` and ``universe``, increasing."""
     for free in submasks(universe & ~base):
         yield base | free
+
+
+@lru_cache(maxsize=None)
+def bit_halves(size: int, bit: int) -> tuple[tuple[slice, slice], ...]:
+    """Slice pairs ``(lo, hi)`` over a table indexed by masks below ``size``.
+
+    Position k of ``hi`` is position k of ``lo`` plus ``bit``, and the ``lo``
+    slices together hold every mask without ``bit`` exactly once, so
+    elementwise work over the pairs visits each (A, A | bit) once.  Low bits
+    use strided slices and high bits contiguous blocks, whichever is fewer.
+    """
+    step = bit << 1
+    if bit * step <= size:
+        return tuple((slice(r, size, step), slice(r + bit, size, step)) for r in range(bit))
+    return tuple((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
+
+
+def locally_supermodular(values: Sequence[int], n: int) -> bool:
+    """p(A+e) + p(A+f) <= p(A) + p(A+e+f) for every mask A and bits e, f outside it.
+
+    On the subset lattice this local form is equivalent to supermodularity
+    on every pair: each element's marginal gain must not shrink when another
+    element joins.  O(2^n n^2) instead of the pairwise 4^n.
+    """
+    size = 1 << n
+    for e in range(n):
+        gain = [0] * size
+        for lo, hi in bit_halves(size, 1 << e):
+            gain[lo] = map(operator.sub, values[hi], values[lo])
+        # the inequality is symmetric in e and f, so f > e suffices
+        for f in range(e + 1, n):
+            for lo, hi in bit_halves(size, 1 << f):
+                if any(map(operator.gt, gain[lo], gain[hi])):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)

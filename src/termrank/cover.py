@@ -84,7 +84,10 @@ def _max_independent_family(
     """Exhaustive maximum-total independent family over the given sets.
 
     Memoized on the set of still-available candidates; ties prefer inclusion,
-    so the returned family is deterministic.
+    so the returned family is deterministic.  The search runs on an explicit
+    stack, since the chain of candidates can be longer than Python's
+    recursion limit; the memo keeps each state's value and whether its lowest
+    candidate is taken, and the family is read back from those choices.
     """
     k = len(masks)
     incompat = [0] * k
@@ -93,28 +96,45 @@ def _max_independent_family(
             if not _independent_pair(masks[i], masks[j], s_all, t_upper):
                 incompat[i] |= 1 << j
                 incompat[j] |= 1 << i
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-    def best(avail: int) -> tuple[int, tuple[int, ...]]:
-        if avail == 0:
-            return 0, ()
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
+    full = (1 << k) - 1
+    value: dict[int, int] = {0: 0}
+    taken: set[int] = set()
+    stack = [full]
+    while stack:
+        avail = stack.pop()
+        if avail in value:
+            continue
         low = avail & -avail
         idx = low.bit_length() - 1
-        with_val, with_fam = best(avail & ~low & ~incompat[idx])
+        without = avail ^ low
+        rest = without & ~incompat[idx]
+        with_val = value.get(rest)
+        without_val = value.get(without)
+        if with_val is None or without_val is None:
+            stack.append(avail)
+            if without_val is None:
+                stack.append(without)
+            if with_val is None:
+                stack.append(rest)
+            continue
         with_val += weights[idx]
-        without_val, without_fam = best(avail & ~low)
         if with_val >= without_val:
-            result = (with_val, (idx,) + with_fam)
+            value[avail] = with_val
+            taken.add(avail)
         else:
-            result = (without_val, without_fam)
-        memo[avail] = result
-        return result
+            value[avail] = without_val
 
-    value, fam = best((1 << k) - 1)
-    return value, tuple(masks[i] for i in fam)
+    fam = []
+    avail = full
+    while avail:
+        low = avail & -avail
+        idx = low.bit_length() - 1
+        avail ^= low
+        if avail | low in taken:
+            fam.append(masks[idx])
+            avail &= ~incompat[idx]
+    return value[full], tuple(fam)
 
 
 def min_arc_cover(
@@ -157,6 +177,7 @@ def min_arc_cover(
             if arc_enters(arc, m, n_s):
                 mask_bits |= 1 << idx
         arc_covers.append(mask_bits)
+    arc_sets = [tuple(bits(c)) for c in arc_covers]  # the sets each arc enters
 
     dual_idx = [positive.index(m) for m in dual_sets]
 
@@ -168,14 +189,14 @@ def min_arc_cover(
 
     def apply_arc(a: int) -> None:
         nonlocal deficient
-        for idx in bits(arc_covers[a]):
+        for idx in arc_sets[a]:
             residual[idx] -= 1
             if residual[idx] == 0:
                 deficient &= ~(1 << idx)
 
     def undo_arc(a: int) -> None:
         nonlocal deficient
-        for idx in bits(arc_covers[a]):
+        for idx in arc_sets[a]:
             if residual[idx] == 0:
                 deficient |= 1 << idx
             residual[idx] += 1
@@ -201,14 +222,17 @@ def min_arc_cover(
 
     if best_size > dual_value:
         chosen: list[int] = []
+        # built once per search, not at every node's pivot choice
+        entering_arcs: list[list[int]] = [[] for _ in positive]
+        for a, idxs in enumerate(arc_sets):
+            for idx in idxs:
+                entering_arcs[idx].append(a)
 
         def lower_bound() -> int:
-            worst = 0
-            for idx in bits(deficient):
-                if residual[idx] > worst:
-                    worst = residual[idx]
+            # residual[i] > 0 exactly on the deficient sets, so the largest
+            # residual is the largest deficiency
             fam_total = sum(max(residual[i], 0) for i in dual_idx)
-            return max(worst, fam_total)
+            return max(max(residual), fam_total)
 
         def dfs() -> None:
             nonlocal best_cover, best_size
@@ -223,7 +247,7 @@ def min_arc_cover(
                 return
             pivot, pivot_arcs = -1, None
             for idx in bits(deficient):
-                entering = [a for a in range(len(arcs)) if arc_covers[a] >> idx & 1]
+                entering = entering_arcs[idx]
                 if pivot_arcs is None or len(entering) < len(pivot_arcs):
                     pivot, pivot_arcs = idx, entering
             order = sorted(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bigraph import Bigraph, DegreeSpec, GroundSets
+from .bigraph import Bigraph, DegreeSpec, GroundSets, locally_supermodular
 from .errors import InstanceError
 from .matroid import Matroid, corank_values
 
@@ -101,6 +101,11 @@ def classify_supermodular(
     (S) bits to stay outside the union.  With ``positively`` only pairs where
     both values are strictly positive are examined.  ``n_s`` is the number of
     low bits forming the S part; it is only consulted by the split modes.
+
+    The check is exact on every pair.  Plain "full" mode decides through the
+    equivalent local inequalities and runs the pairwise scan only when they
+    fail, so the violation reported is always the first pair in the scan
+    order (first mask ascending, then second mask ascending).
     """
     if mode not in CLASSIFY_MODES:
         raise InstanceError(f"unknown supermodularity mode {mode!r}")
@@ -113,6 +118,8 @@ def classify_supermodular(
     else:
         meet_mask = (1 << p.n) - 1
     vals = p.values
+    if mode == "full" and not positively and locally_supermodular(vals, p.n):
+        return None
     if positively:
         candidates = p.positive_masks
     else:
@@ -133,6 +140,8 @@ def classify_supermodular(
                 return SupermodularViolation(
                     mode, positively, a, b, va + vb, vals[a & b] + vals[a | b]
                 )
+    if mode == "full" and not positively:
+        raise AssertionError("local supermodularity fails but the pairwise scan finds no violation")
     return None
 
 

@@ -1,12 +1,19 @@
 """Independent naive implementations used as test oracles.
 
 Everything here works on plain tuples, sets, and itertools so that a bug in
-the package's bitmask machinery cannot hide in its own oracle.
+the package's bitmask machinery cannot hide in its own oracle.  The literal
+quantifier scans at the end index subsets by integer masks, but walk them
+with plain ranges and rebuild cuts, neighbourhoods and covers edge by edge;
+from the package they take only the result types and the rank tables.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from termrank.feasibility import ViolationCert
+from termrank.matroid import RankViolation
+from termrank.setfun import SupermodularViolation
 
 
 def subsets(items):
@@ -138,3 +145,165 @@ def naive_subgraph_exists(
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# literal quantifier scans: the pre-transform enumerations of the checkers,
+# kept as oracles for the table-max core.  Each family is walked in the
+# documented order (right subsets ascending, then left subsets, then inner
+# sets ascending) and only a strictly larger left-hand side replaces the
+# incumbent, so the payload is the first maximiser.
+
+
+def _first_max(family):
+    best = None
+    for lhs, payload in family:
+        if best is None or lhs > best[0]:
+            best = (lhs, payload)
+    return best
+
+
+def _mask_sum(values, mask) -> int:
+    return sum(v for i, v in enumerate(values) if mask >> i & 1)
+
+
+def _host_cut(inst):
+    """cut(x, y) in the complement of the initial graph, counted edge by edge."""
+    g = inst.grounds
+    initial = set(inst.initial.edges)
+    host = [(s, t) for s in range(g.n_s) for t in range(g.n_t) if (s, t) not in initial]
+
+    def cut(x, y):
+        return sum(1 for s, t in host if x >> s & 1 and y >> t & 1)
+
+    return cut
+
+
+def _ore_lhs(inst):
+    deg = inst.degrees
+    cut = _host_cut(inst)
+    return lambda x, y: _mask_sum(deg.m_s, x) + _mask_sum(deg.m_t, y) - cut(x, y)
+
+
+def _pairs(g):
+    for y in range(1 << g.n_t):
+        for x in range(1 << g.n_s):
+            yield x, y
+
+
+def literal_ore(inst):
+    """First violated (x, y) of the cut condition in the complement, or None."""
+    lhs_of = _ore_lhs(inst)
+    lhs, (x, y) = _first_max((lhs_of(x, y), (x, y)) for x, y in _pairs(inst.grounds))
+    gamma = inst.degrees.gamma
+    return None if lhs <= gamma else ViolationCert("ore", x=x, y=y, lhs=lhs, rhs=gamma)
+
+
+def literal_fully(inst):
+    """The fully supermodular condition by its triple loop over (y, x, t0)."""
+    ore = literal_ore(inst)
+    if ore is not None:
+        return ore
+    g = inst.grounds
+    lhs_of = _ore_lhs(inst)
+    rank, dem = inst.matroid_s.rank, inst.demand.values
+    edges = inst.initial.edges
+
+    def family():
+        for x, y in _pairs(g):
+            base = lhs_of(x, y)
+            for t0 in range(1 << g.n_t):
+                if t0 & y:
+                    continue
+                nbr = 0
+                for s, t in edges:
+                    if t0 >> t & 1:
+                        nbr |= 1 << s
+                yield base + dem[t0] - rank[x | nbr], (x, y, t0)
+
+    lhs, (x, y, t0) = _first_max(family())
+    gamma = inst.degrees.gamma
+    if lhs <= gamma:
+        return None
+    return ViolationCert("fully", x=x, y=y, parts=(t0,) if t0 else (), lhs=lhs, rhs=gamma)
+
+
+def nested_pair_family(inst, ell, rank_s, rank_t):
+    """Every (lhs, (x, y, xp, yp)) of the nested-pair condition, in scan order."""
+    g = inst.grounds
+    lhs_of = _ore_lhs(inst)
+    edges = inst.initial.edges
+    for x, y in _pairs(g):
+        base = lhs_of(x, y)
+        for yp in range(1 << g.n_t):
+            if yp & y != y:
+                continue
+            for xp in range(1 << g.n_s):
+                if xp & x != x:
+                    continue
+                if any(not (xp >> s & 1 or yp >> t & 1) for s, t in edges):
+                    continue
+                yield base + ell - rank_s(xp) - rank_t(yp), (x, y, xp, yp)
+
+
+def literal_nested_pair(inst, which, ell, rank_s, rank_t):
+    """``ryser_gen`` / ``ryser_novel`` by the four nested loops (cut condition first)."""
+    ore = literal_ore(inst)
+    if ore is not None:
+        return ore
+    lhs, (x, y, xp, yp) = _first_max(nested_pair_family(inst, ell, rank_s, rank_t))
+    gamma = inst.degrees.gamma
+    if lhs <= gamma:
+        return None
+    return ViolationCert(which, x=x, y=y, xp=xp, yp=yp, lhs=lhs, rhs=gamma)
+
+
+def literal_ryser_gen(inst):
+    ms, mt = inst.matroid_s, inst.matroid_t
+    return literal_nested_pair(
+        inst, "ryser_gen", ms.full_rank, lambda a: ms.rank[a], lambda b: mt.rank[b]
+    )
+
+
+def literal_ryser_novel(inst, ell):
+    return literal_nested_pair(
+        inst, "ryser_novel", ell, lambda a: a.bit_count(), lambda b: b.bit_count()
+    )
+
+
+def literal_rank_violation(n, rank):
+    """The rank axioms by pairwise scans: R1 per set, then R2 and R3 per pair."""
+    size = 1 << n
+    if rank[0] != 0:
+        return RankViolation("R1", (0,), f"rank of the empty set is {rank[0]}, not 0")
+    for a in range(size):
+        if rank[a] < 0:
+            return RankViolation("R1", (a,), f"rank {rank[a]} is negative")
+        if rank[a] > a.bit_count():
+            return RankViolation("R1", (a,), f"rank {rank[a]} exceeds the set size {a.bit_count()}")
+    for a in range(size):
+        for b in range(size):
+            if a & b == a and rank[a] > rank[b]:
+                return RankViolation(
+                    "R2", (a, b), f"rank drops from {rank[a]} to {rank[b]} on a superset"
+                )
+    for a in range(size):
+        for b in range(a + 1, size):
+            if rank[a] + rank[b] < rank[a | b] + rank[a & b]:
+                return RankViolation(
+                    "R3", (a, b),
+                    f"{rank[a]}+{rank[b]} < {rank[a | b]}+{rank[a & b]} for union/intersection",
+                )
+    return None
+
+
+def literal_supermodular_violation(vals, n):
+    """First pair (a < b) with p(a) + p(b) > p(a & b) + p(a | b), or None."""
+    size = 1 << n
+    for a in range(size):
+        for b in range(a + 1, size):
+            if vals[a] + vals[b] > vals[a & b] + vals[a | b]:
+                return SupermodularViolation(
+                    "full", False, a, b, vals[a] + vals[b], vals[a & b] + vals[a | b]
+                )
+    return None

@@ -4,6 +4,7 @@ and the fuzz harness self-test."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +334,27 @@ def test_cli_mode_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", path, "--mode", "ryser"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# goldens at the ground cap: full CLI output of `check`, wall time dropped
+
+CAP_GOLDENS = sorted((Path(__file__).parent / "data").glob("cap_*.json"))
+
+
+@pytest.mark.parametrize("golden_path", CAP_GOLDENS, ids=lambda p: p.stem)
+def test_cli_check_cap_goldens(golden_path, tmp_path, capsys):
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    path = write(tmp_path, "inst.json", golden["instance"])
+    code = main([*golden["argv"], path])
+    captured = capsys.readouterr()
+    result = json.loads(captured.out) if captured.out else None
+    if result is not None:
+        result["stats"].pop("wall_ms")
+    assert (code, result, captured.err) == (golden["exit"], golden["result"], golden["stderr"])
+
+
+def test_cap_goldens_present():
+    assert [p.stem for p in CAP_GOLDENS] == [
+        "cap_fully_10x2", "cap_rank_r3_10", "cap_ryser_gen_2x10",
+    ]

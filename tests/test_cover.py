@@ -17,6 +17,7 @@ from termrank.bigraph import (
 )
 from termrank.cover import (
     ArcCover,
+    _max_independent_family,
     construct_brute,
     construct_via_cover,
     covers,
@@ -69,6 +70,16 @@ def test_min_cover_single_positive_set():
     assert cover.size == 1 and dual.value == 1
     assert dual.sets == (g.v_mask(0, 0b01),)
     assert covers(cover.arcs, dem, g.n_s)
+
+
+def test_independent_family_longer_than_the_recursion_limit():
+    # 1200 copies of a set holding all of S: pairwise independent, so the
+    # search walks a chain of 1200 states and takes every copy
+    g = grounds(2, 2)
+    mask = g.v_mask(g.s_all, 0b01)
+    k = 1200
+    value, fam = _max_independent_family([mask] * k, [1] * k, g.s_all, g.t_all << g.n_s)
+    assert (value, fam) == (k, (mask,) * k)
 
 
 def test_min_cover_trivial_zero_demand():
