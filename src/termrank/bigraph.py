@@ -59,6 +59,28 @@ def supermasks(base: int, universe: int) -> Iterator[int]:
         yield base | free
 
 
+def union_table(adj: Sequence[int]) -> list[int]:
+    """OR of ``adj[i]`` over the bits i of every mask below ``1 << len(adj)``.
+
+    Built by the low-bit recurrence, one OR per mask; with a graph's
+    adjacency masks it gives the neighbourhood of every node subset.
+    """
+    table = [0] * (1 << len(adj))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | adj[low.bit_length() - 1]
+    return table
+
+
+def restrict_table(values: Sequence[int], keep_mask: int) -> tuple[int, ...]:
+    """A table over subsets, restricted to the elements of ``keep_mask``.
+
+    The kept elements are renumbered in order, so entry ``a`` of the result
+    is the entry of the original subset whose kept bits ``a`` lists.
+    """
+    return tuple(values[orig] for orig in union_table([1 << i for i in bits(keep_mask)]))
+
+
 @lru_cache(maxsize=None)
 def bit_halves(size: int, bit: int) -> tuple[tuple[slice, slice], ...]:
     """Slice pairs ``(lo, hi)`` over a table indexed by masks below ``size``.
@@ -163,6 +185,23 @@ class GroundSets:
     def v_names(self, v_mask: int) -> tuple[str, ...]:
         s_mask, t_mask = self.split(v_mask)
         return self.s_names(s_mask) + self.t_names(t_mask)
+
+    def pair_indices(self, pairs) -> list[tuple[int, int]]:
+        """(left index, right index) of each ``[left id, right id]`` pair, in order."""
+        if not isinstance(pairs, (list, tuple)):
+            raise InstanceError(f"edges {pairs!r} must be a list of [left, right] pairs")
+        out = []
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise InstanceError(f"edge {pair!r} must be a [left, right] pair")
+            s_name, t_name = pair
+            # tuple membership compares by equality, so unhashable ids fail cleanly
+            if s_name not in self.s_ids:
+                raise InstanceError(f"edge endpoint {s_name!r} is not a left node")
+            if t_name not in self.t_ids:
+                raise InstanceError(f"edge endpoint {t_name!r} is not a right node")
+            out.append((self.s_index[s_name], self.t_index[t_name]))
+        return out
 
     def s_mask_of(self, names) -> int:
         mask = 0
@@ -274,17 +313,7 @@ class Bigraph:
 
     @classmethod
     def from_names(cls, grounds: GroundSets, pairs) -> "Bigraph":
-        edges = []
-        for pair in pairs:
-            if len(pair) != 2:
-                raise InstanceError(f"edge {pair!r} must be a [left, right] pair")
-            s_name, t_name = pair
-            if s_name not in grounds.s_index:
-                raise InstanceError(f"edge endpoint {s_name!r} is not a left node")
-            if t_name not in grounds.t_index:
-                raise InstanceError(f"edge endpoint {t_name!r} is not a right node")
-            edges.append((grounds.s_index[s_name], grounds.t_index[t_name]))
-        return cls(grounds, tuple(edges))
+        return cls(grounds, tuple(grounds.pair_indices(pairs)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 randomized cross-oracle fuzzer, and run the built-in acceptance suite.
 
 Exit codes: 0 feasible / all good, 1 infeasible or discrepancy found, 2 input
-or precondition error.
+or precondition error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .bigraph import graph_union
+from .bigraph import Bigraph, graph_union
 from .cover import (
     construct_brute,
     construct_via_cover,
@@ -30,7 +30,14 @@ from .feasibility import (
     check_ryser,
     check_ryser_gen,
 )
-from .harness import FuzzConfig, acceptance_report, run_fuzz, validate_matching, validate_witness
+from .harness import (
+    FUZZ_MODES,
+    FuzzConfig,
+    acceptance_report,
+    run_fuzz,
+    validate_matching,
+    validate_witness,
+)
 from .jsonio import (
     MODES,
     dumps,
@@ -44,24 +51,98 @@ from .setfun import constant
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
-def _run_checker(mode: str, inst: Instance, stats: dict) -> ViolationCert | None:
-    if mode == "ore":
-        return check_ore(inst.complement, inst.degrees, stats=stats)
-    if mode == "msmt":
-        return check_msmt(inst, stats=stats)
-    if mode == "ms_only":
-        return check_ms_only(inst, stats=stats)
-    if mode == "fully":
-        return check_fully(inst, stats=stats)
-    if mode == "ryser":
-        return check_ryser(inst.degrees, inst.target_rank, stats=stats)
-    if mode == "brualdi":
-        return check_brualdi(inst.initial, inst.matroid_s, inst.matroid_t, stats=stats)
-    if mode == "ryser_gen":
-        return check_ryser_gen(inst, stats=stats)
-    raise InstanceError(f"unknown mode {mode!r}")
+def _uniform_matroids(inst: Instance) -> Instance:
+    """The classic term-rank instance with uniform matroids of its target rank."""
+    g = inst.grounds
+    return Instance.make(
+        g,
+        initial=inst.initial,
+        degrees=inst.degrees,
+        matroid_s=Matroid.uniform(g.s_ids, inst.target_rank),
+        matroid_t=Matroid.uniform(g.t_ids, inst.target_rank),
+        target_rank=inst.target_rank,
+    )
+
+
+def _solve_graph(check, inst: Instance, route: str, stats: dict):
+    """Degree-specified augmentation: the condition, then a witness graph."""
+    cert = check(inst, stats)
+    if cert is not None:
+        return cert
+    work = inst
+    if inst.demand is None:
+        work = Instance.make(
+            inst.grounds,
+            initial=inst.initial,
+            degrees=inst.degrees,
+            matroid_s=inst.matroid_s,
+            demand=constant(inst.grounds.t_ids, 0),
+        )
+    if inst.degrees.m_t is None and route != "brute":
+        # the cover route lifts both degree sides
+        route = stats["route"] = "brute"
+    built = None
+    if route in ("cover", "both"):
+        built = construct_via_cover(work, stats=stats)
+    brute = None
+    if route in ("brute", "both"):
+        brute = construct_brute(work, stats=stats)
+        if route == "brute" and brute is None:
+            raise AssertionError("condition passed but exhaustive construction found nothing")
+    if route == "both" and (brute is None) != (built is None):
+        raise AssertionError("the two construction routes disagree on feasibility")
+    return witness_to_json(inst.grounds, built if built is not None else brute, None)
+
+
+def _solve_matching(check, inst: Instance, route: str, stats: dict):
+    """Basis-covering matching in the given graph: the condition, then the matching."""
+    cert = check(inst, stats)
+    if cert is not None:
+        return cert
+    matching = find_matching_covering_bases(
+        inst.initial, inst.matroid_s, inst.matroid_t, stats=stats
+    )
+    return witness_to_json(inst.grounds, None, matching)
+
+
+def _solve_term_rank(check, inst: Instance, route: str, stats: dict):
+    """Term-rank augmentation, decided and built by ``solve_term_rank``.
+
+    The classic mode, which carries no matroids, first runs its own
+    condition and is then solved with uniform matroids of the target rank.
+    """
+    if inst.matroid_t is None:
+        cert = check(inst, stats)
+        if cert is not None:
+            return cert
+        inst = _uniform_matroids(inst)
+    result = solve_term_rank(inst, stats=stats)
+    if isinstance(result, ViolationCert):
+        return result
+    graph, matching = result
+    return witness_to_json(inst.grounds, graph, matching)
+
+
+# mode -> (condition checker, `solve` constructor).  The checkers name their
+# functions when they run, so a replaced module attribute is the one called.
+DISPATCH = {
+    "ore": (lambda inst, stats: check_ore(inst.complement, inst.degrees, stats=stats), _solve_graph),
+    "msmt": (lambda inst, stats: check_msmt(inst, stats=stats), _solve_graph),
+    "ms_only": (lambda inst, stats: check_ms_only(inst, stats=stats), _solve_graph),
+    "fully": (lambda inst, stats: check_fully(inst, stats=stats), _solve_graph),
+    "ryser": (
+        lambda inst, stats: check_ryser(inst.degrees, inst.target_rank, stats=stats),
+        _solve_term_rank,
+    ),
+    "brualdi": (
+        lambda inst, stats: check_brualdi(inst.initial, inst.matroid_s, inst.matroid_t, stats=stats),
+        _solve_matching,
+    ),
+    "ryser_gen": (lambda inst, stats: check_ryser_gen(inst, stats=stats), _solve_term_rank),
+}
 
 
 def _emit(data: dict, out_path: str | None) -> None:
@@ -92,8 +173,6 @@ def cmd_check(args) -> int:
     stats: dict = {"mode": mode}
     start = time.perf_counter()
     if args.verify_witness:
-        from .bigraph import Bigraph
-
         witness = _load_witness_payload(args.verify_witness)
         problems: list[str] = []
         graph = None
@@ -101,25 +180,21 @@ def cmd_check(args) -> int:
             graph = Bigraph.from_names(inst.grounds, witness["edges"])
             problems += validate_witness(inst, graph)
         if "matching" in witness:
-            pairs = [
-                (inst.grounds.s_index[a], inst.grounds.t_index[b])
-                for a, b in witness["matching"]
-            ]
+            pairs = inst.grounds.pair_indices(witness["matching"])
             target = inst.initial if graph is None else graph_union(graph, inst.initial)
-            matroid_s, matroid_t = inst.matroid_s, inst.matroid_t
-            if matroid_t is None:
+            if inst.matroid_t is None:
                 if inst.target_rank is None:
                     raise InstanceError("instance carries no matroids or target rank to verify a matching")
-                matroid_s = Matroid.uniform(inst.grounds.s_ids, inst.target_rank)
-                matroid_t = Matroid.uniform(inst.grounds.t_ids, inst.target_rank)
-            problems += validate_matching(target, matroid_s, matroid_t, pairs)
+                inst = _uniform_matroids(inst)
+            problems += validate_matching(target, inst.matroid_s, inst.matroid_t, pairs)
         stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
         verdict = "feasible" if not problems else "infeasible"
         payload = result_to_json(verdict, grounds=inst.grounds, stats=stats)
         payload["witness_problems"] = problems
         _emit(payload, args.out)
         return EXIT_FEASIBLE if not problems else EXIT_INFEASIBLE
-    cert = _run_checker(mode, inst, stats)
+    check, _solve = DISPATCH[mode]
+    cert = check(inst, stats)
     stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
     if cert is None:
         _emit(result_to_json("feasible", grounds=inst.grounds, stats=stats), args.out)
@@ -135,85 +210,17 @@ def cmd_solve(args) -> int:
     mode, inst = load_instance_file(args.path, args.mode)
     stats: dict = {"mode": mode, "route": args.route}
     start = time.perf_counter()
-    grounds = inst.grounds
-    witness = None
-    cert = None
-
-    if mode == "brualdi":
-        cert = check_brualdi(inst.initial, inst.matroid_s, inst.matroid_t, stats=stats)
-        if cert is None:
-            matching = find_matching_covering_bases(
-                inst.initial, inst.matroid_s, inst.matroid_t, stats=stats
-            )
-            witness = witness_to_json(grounds, None, matching)
-    elif mode in ("ryser", "ryser_gen"):
-        work = inst
-        if mode == "ryser":
-            cert_classic = check_ryser(inst.degrees, inst.target_rank, stats=stats)
-            if cert_classic is not None:
-                cert = cert_classic
-            else:
-                work = Instance.make(
-                    grounds,
-                    initial=inst.initial,
-                    degrees=inst.degrees,
-                    matroid_s=Matroid.uniform(grounds.s_ids, inst.target_rank),
-                    matroid_t=Matroid.uniform(grounds.t_ids, inst.target_rank),
-                    target_rank=inst.target_rank,
-                )
-        if cert is None:
-            result = solve_term_rank(work, stats=stats)
-            if isinstance(result, ViolationCert):
-                cert = result
-            else:
-                graph, matching = result
-                witness = witness_to_json(grounds, graph, matching)
-    else:
-        checker = {
-            "ore": lambda: check_ore(inst.complement, inst.degrees, stats=stats),
-            "msmt": lambda: check_msmt(inst, stats=stats),
-            "ms_only": lambda: check_ms_only(inst, stats=stats),
-            "fully": lambda: check_fully(inst, stats=stats),
-        }[mode]
-        cert = checker()
-        if cert is None:
-            work = inst
-            if inst.demand is None:
-                work = Instance.make(
-                    grounds,
-                    initial=inst.initial,
-                    degrees=inst.degrees,
-                    matroid_s=inst.matroid_s,
-                    demand=constant(grounds.t_ids, 0),
-                )
-            route = args.route
-            if mode == "ms_only" and route != "brute":
-                route = "brute"
-                stats["route"] = "brute"
-            built = None
-            if route in ("cover", "both"):
-                built = construct_via_cover(work, stats=stats)
-            brute = None
-            if route in ("brute", "both"):
-                brute = construct_brute(work, stats=stats)
-                if route == "brute" and brute is None:
-                    raise AssertionError(
-                        "condition passed but exhaustive construction found nothing"
-                    )
-            if route == "both" and (brute is None) != (built is None):
-                raise AssertionError("the two construction routes disagree on feasibility")
-            graph = built if built is not None else brute
-            witness = witness_to_json(grounds, graph, None)
-
+    check, solve = DISPATCH[mode]
+    result = solve(check, inst, args.route, stats)
     stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if cert is not None:
+    if isinstance(result, ViolationCert):
         _emit(
-            result_to_json("infeasible", grounds=grounds, cert=cert, stats=stats),
+            result_to_json("infeasible", grounds=inst.grounds, cert=result, stats=stats),
             args.out,
         )
         return EXIT_INFEASIBLE
     _emit(
-        result_to_json("feasible", grounds=grounds, witness=witness, stats=stats),
+        result_to_json("feasible", grounds=inst.grounds, witness=result, stats=stats),
         args.out,
     )
     return EXIT_FEASIBLE
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--max-t", dest="max_t", type=int, default=4)
     p_fuzz.add_argument(
         "--modes",
-        help="comma-separated subset of: msmt,ms_only,ore,brualdi,reductions",
+        help=f"comma-separated subset of: {','.join(FUZZ_MODES)}",
     )
     p_fuzz.add_argument("--out", help="write the report JSON here instead of stdout")
     p_fuzz.set_defaults(func=cmd_fuzz)
@@ -307,6 +314,9 @@ def main(argv=None) -> int:
     except TermrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a bug, not an answer; BaseException passes through
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

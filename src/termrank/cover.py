@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigraph import Bigraph, bits, fits, graph_union
+from .bigraph import Bigraph, bits, fits, graph_union, union_table
 from .errors import InstanceError, InfeasibleError, PreconditionError
-from .feasibility import Instance, ViolationCert, check_msmt, check_ryser_gen, neighborhood_table
+from .feasibility import Instance, ViolationCert, check_msmt, check_ryser_gen
 from .matroid import Matroid
 from .setfun import (
     SetFunction,
     base_demand,
     classify_supermodular,
     full_demand,
+    st_independent_pair,
 )
 
 
@@ -72,12 +73,6 @@ def minimalize_cover(arcs, demand: SetFunction, n_s: int) -> tuple[tuple[int, in
     return tuple(kept)
 
 
-def _independent_pair(a: int, b: int, s_all: int, t_upper: int) -> bool:
-    if a & b & t_upper == 0:
-        return True
-    return s_all & ~(a | b) == 0
-
-
 def _max_independent_family(
     masks: list[int], weights: list[int], s_all: int, t_upper: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -93,7 +88,7 @@ def _max_independent_family(
     incompat = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            if not _independent_pair(masks[i], masks[j], s_all, t_upper):
+            if not st_independent_pair(masks[i], masks[j], s_all, t_upper):
                 incompat[i] |= 1 << j
                 incompat[j] |= 1 << i
 
@@ -275,7 +270,7 @@ def min_arc_cover(
 
 def matroid_covers(graph: Bigraph, matroid_s: Matroid, demand: SetFunction) -> bool:
     """rank(neighborhood of Y) reaches the demand of Y for every right subset."""
-    nbr = neighborhood_table(graph)
+    nbr = union_table(graph.t_adj)
     return all(
         matroid_s.rank[nbr[y]] >= demand.values[y]
         for y in range(1 << graph.grounds.n_t)

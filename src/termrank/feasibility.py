@@ -35,6 +35,7 @@ from .bigraph import (
     neighborhood,
     submasks,
     supermasks,
+    union_table,
 )
 from .errors import InstanceError, PreconditionError
 from .matroid import Matroid
@@ -259,15 +260,6 @@ def _split_index(g: GroundSets, idx: int) -> tuple[int, int]:
     return idx & g.s_all, idx >> g.n_s
 
 
-def neighborhood_table(g: Bigraph) -> list[int]:
-    """S-neighborhood mask of every T-subset of ``g``, indexed by T-mask."""
-    table = [0] * (1 << g.grounds.n_t)
-    for y in range(1, len(table)):
-        low = y & -y
-        table[y] = table[y ^ low] | g.t_adj[low.bit_length() - 1]
-    return table
-
-
 def _degree_rows(degrees: DegreeSpec) -> tuple[list[int], list[int]]:
     """Degree sum and size of every left subset, indexed by S-mask."""
     xs = range(1 << degrees.grounds.n_s)
@@ -348,7 +340,7 @@ def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | Non
     g = inst.grounds
     gamma = degrees.gamma
     cut = inst.complement.cut_table
-    nbr0 = neighborhood_table(inst.initial)
+    nbr0 = union_table(inst.initial.t_adj)
     parts_by_x, gains_by_x = _useful_parts_by_x(inst, nbr0)
     best = _Max()
     evals = 0
@@ -388,7 +380,7 @@ def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | 
     if worst > g.n_t:
         return ViolationCert("ms_only_degree", x=1 << i, lhs=worst, rhs=g.n_t)
     gamma = degrees.gamma
-    nbr0 = neighborhood_table(inst.initial)
+    nbr0 = union_table(inst.initial.t_adj)
     parts_by_x, gains_by_x = _useful_parts_by_x(inst, nbr0)
     best = _Max()
     evals = 0
@@ -421,7 +413,7 @@ def check_fully(inst: Instance, stats: dict | None = None) -> ViolationCert | No
         return ore
     g = inst.grounds
     gamma = degrees.gamma
-    nbr0 = neighborhood_table(inst.initial)
+    nbr0 = union_table(inst.initial.t_adj)
     dem = inst.demand.values
     rank = inst.matroid_s.rank
     xs = range(1 << g.n_s)
@@ -536,15 +528,11 @@ def check_ryser(degrees: DegreeSpec, ell: int, stats: dict | None = None) -> Vio
 def _uncovered_t_table(graph: Bigraph) -> list[int]:
     """For each S-mask: the T-nodes forced into any vertex cover using that mask.
 
-    Those are the neighbours of the left nodes outside the mask; the union
-    over left subsets is built by the low-bit recurrence, then complemented.
+    Those are the neighbours of the left nodes outside the mask: the
+    neighbourhood table of left subsets read backwards, since the complement
+    of mask ``xp`` is ``s_all - xp``.
     """
-    g = graph.grounds
-    reach = [0] * (1 << g.n_s)
-    for x in range(1, len(reach)):
-        low = x & -x
-        reach[x] = reach[x ^ low] | graph.s_adj[low.bit_length() - 1]
-    return [reach[g.s_all ^ xp] for xp in range(len(reach))]
+    return union_table(graph.s_adj)[::-1]
 
 
 def _cover_table(needed: list[int], rank_s, rank_t, n_t: int) -> list[int]:
@@ -579,7 +567,7 @@ def check_brualdi(
     best, idx = _table_argmax(table)
     lhs = ell + best
     verdict_cover = lhs <= 0
-    nbr = neighborhood_table(graph)
+    nbr = union_table(graph.t_adj)
     full_t = g.t_all
     verdict_nbr = True
     for y in range(1 << g.n_t):

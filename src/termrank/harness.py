@@ -13,7 +13,8 @@ produces zero discrepancies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations
 
 from .bigraph import (
@@ -23,6 +24,7 @@ from .bigraph import (
     bipartite_complement,
     graph_union,
     matching_number,
+    restrict_table,
 )
 from .cover import (
     construct_brute,
@@ -66,7 +68,23 @@ from .setfun import (
 
 ACCEPTANCE_SEED = 20260809
 
-FUZZ_MODES = ("msmt", "ms_only", "ore", "brualdi", "reductions")
+# fuzz mode -> one seeded case, (rng, cfg, counters, fault) -> (problems,
+# reproducer); the cases name their functions when they run, so a replaced
+# module attribute is the one called
+FUZZ_CASES = {
+    "msmt": lambda *case: _instance_case("msmt", random_msmt_instance, verify_msmt, *case),
+    "ms_only": lambda *case: _instance_case(
+        "ms_only", random_ms_only_instance, partial(verify_against_brute, "ms_only"), *case
+    ),
+    "ore": lambda *case: _instance_case(
+        "ore", random_ore_instance, partial(verify_against_brute, "ore"), *case
+    ),
+    "brualdi": lambda *case: _instance_case(
+        "brualdi", random_brualdi_instance, verify_brualdi, *case
+    ),
+    "reductions": lambda *case: verify_reductions(*case),
+}
+FUZZ_MODES = tuple(FUZZ_CASES)
 
 
 @dataclass
@@ -268,6 +286,12 @@ def random_brualdi_case(
     return graph, matroid_s, matroid_t
 
 
+def random_brualdi_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
+    """A brualdi case as an instance: the graph under test is ``initial``."""
+    graph, matroid_s, matroid_t = random_brualdi_case(rng, cfg)
+    return Instance.make(graph.grounds, initial=graph, matroid_s=matroid_s, matroid_t=matroid_t)
+
+
 # ---------------------------------------------------------------------------
 # independent validators
 
@@ -441,35 +465,14 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
     return problems
 
 
-def verify_ms_only(inst: Instance, counters: dict, fault=None) -> list[str]:
+def verify_against_brute(mode: str, inst: Instance, counters: dict, fault=None) -> list[str]:
+    """The ``ore`` or ``ms_only`` checker against exhaustive construction."""
     problems: list[str] = []
-    cert = check_ms_only(inst)
+    cert = check_ore(inst.complement, inst.degrees) if mode == "ore" else check_ms_only(inst)
     feasible = cert is None
     if fault is not None:
-        feasible = fault("ms_only_checker", feasible)
-    _bump(counters, "ms_only_feasible" if feasible else "ms_only_infeasible")
-    brute = construct_brute(inst)
-    if feasible != (brute is not None):
-        problems.append(
-            f"checker says {feasible} but exhaustive construction says {brute is not None}"
-        )
-    if brute is not None:
-        issues = validate_witness(inst, brute)
-        problems.extend(issues)
-        if not issues:
-            _bump(counters, "witnesses_validated")
-    if cert is not None:
-        _check_certificate(cert, inst, counters, problems)
-    return problems
-
-
-def verify_ore(inst: Instance, counters: dict, fault=None) -> list[str]:
-    problems: list[str] = []
-    cert = check_ore(inst.complement, inst.degrees)
-    feasible = cert is None
-    if fault is not None:
-        feasible = fault("ore_checker", feasible)
-    _bump(counters, "ore_feasible" if feasible else "ore_infeasible")
+        feasible = fault(f"{mode}_checker", feasible)
+    _bump(counters, f"{mode}_feasible" if feasible else f"{mode}_infeasible")
     brute = construct_brute(inst)
     if feasible != (brute is not None):
         problems.append(
@@ -503,9 +506,9 @@ def _naive_basis_matching(graph: Bigraph, ms: Matroid, mt: Matroid) -> bool:
     return False
 
 
-def verify_brualdi(
-    graph: Bigraph, ms: Matroid, mt: Matroid, counters: dict, fault=None
-) -> list[str]:
+def verify_brualdi(inst: Instance, counters: dict, fault=None) -> list[str]:
+    """The matching condition against the matching search and subset enumeration."""
+    graph, ms, mt = inst.initial, inst.matroid_s, inst.matroid_t
     problems: list[str] = []
     try:
         cert = check_brualdi(graph, ms, mt)
@@ -529,9 +532,6 @@ def verify_brualdi(
         if not issues:
             _bump(counters, "matchings_validated")
     if cert is not None:
-        inst = Instance.make(
-            graph.grounds, initial=graph, matroid_s=ms, matroid_t=mt
-        )
         _check_certificate(cert, inst, counters, problems)
     return problems
 
@@ -691,14 +691,7 @@ def _drop_t_node(inst: Instance, j: int) -> Instance:
         degrees = DegreeSpec(grounds, inst.degrees.m_s, m_t)
     demand = None
     if inst.demand is not None:
-        values = []
-        for mask in range(1 << len(keep)):
-            orig = 0
-            for pos, k in enumerate(keep):
-                if mask >> pos & 1:
-                    orig |= 1 << k
-            values.append(inst.demand.values[orig])
-        demand = SetFunction(grounds.t_ids, tuple(values))
+        demand = SetFunction(grounds.t_ids, restrict_table(inst.demand.values, g.t_all ^ 1 << j))
     return Instance.make(
         grounds,
         initial=Bigraph(grounds, edges),
@@ -711,17 +704,12 @@ def _drop_t_node(inst: Instance, j: int) -> Instance:
 
 def _shrink_candidates(inst: Instance):
     g = inst.grounds
+    if inst.matroid_t is not None:
+        return  # matching cases are reported as drawn
     for k in range(inst.initial.edge_count):
         edges = list(inst.initial.edges)
         del edges[k]
-        yield Instance.make(
-            g,
-            initial=Bigraph(g, tuple(edges)),
-            degrees=inst.degrees,
-            matroid_s=inst.matroid_s,
-            demand=inst.demand,
-            target_rank=inst.target_rank,
-        )
+        yield replace(inst, initial=Bigraph(g, tuple(edges)))
     if inst.degrees is not None:
         if inst.degrees.m_t is not None:
             for i in range(g.n_s):
@@ -731,27 +719,13 @@ def _shrink_candidates(inst: Instance):
                         m_t = list(inst.degrees.m_t)
                         m_s[i] -= 1
                         m_t[j] -= 1
-                        yield Instance.make(
-                            g,
-                            initial=inst.initial,
-                            degrees=DegreeSpec(g, tuple(m_s), tuple(m_t)),
-                            matroid_s=inst.matroid_s,
-                            demand=inst.demand,
-                            target_rank=inst.target_rank,
-                        )
+                        yield replace(inst, degrees=DegreeSpec(g, tuple(m_s), tuple(m_t)))
         else:
             for i in range(g.n_s):
                 if inst.degrees.m_s[i] > 0:
                     m_s = list(inst.degrees.m_s)
                     m_s[i] -= 1
-                    yield Instance.make(
-                        g,
-                        initial=inst.initial,
-                        degrees=DegreeSpec(g, tuple(m_s), None),
-                        matroid_s=inst.matroid_s,
-                        demand=inst.demand,
-                        target_rank=inst.target_rank,
-                    )
+                    yield replace(inst, degrees=DegreeSpec(g, tuple(m_s), None))
     if g.n_s > 1 and inst.degrees is not None:
         for i in range(g.n_s):
             if inst.degrees.m_s[i] == 0:
@@ -788,6 +762,15 @@ def shrink_instance(inst: Instance, still_fails, budget: int = 200) -> Instance:
 # the fuzz driver
 
 
+def _instance_case(mode: str, draw, verify, rng, cfg, counters, fault):
+    """Draw an instance and run its bundle; a failing one is shrunk before it is reported."""
+    inst = draw(rng, cfg)
+    problems = verify(inst, counters, fault)
+    if problems:
+        inst = shrink_instance(inst, lambda cand: bool(verify(cand, {}, fault)))
+    return problems, instance_to_json(mode, inst)
+
+
 def run_fuzz(cfg: FuzzConfig, fault_hook=None) -> dict:
     """Seeded verification run; the report is byte-stable for a fixed config."""
     rng = random.Random(cfg.seed)
@@ -796,37 +779,8 @@ def run_fuzz(cfg: FuzzConfig, fault_hook=None) -> dict:
     modes = list(cfg.modes)
     for index in range(cfg.count):
         mode = modes[index % len(modes)]
-        reproducer = None
-        inst = None
-        if mode == "msmt":
-            inst = random_msmt_instance(rng, cfg)
-            problems = verify_msmt(inst, counters, fault_hook)
-            reproducer = instance_to_json("msmt", inst)
-            verifier = lambda cand: bool(verify_msmt(cand, {}, fault_hook))
-        elif mode == "ms_only":
-            inst = random_ms_only_instance(rng, cfg)
-            problems = verify_ms_only(inst, counters, fault_hook)
-            reproducer = instance_to_json("ms_only", inst)
-            verifier = lambda cand: bool(verify_ms_only(cand, {}, fault_hook))
-        elif mode == "ore":
-            inst = random_ore_instance(rng, cfg)
-            problems = verify_ore(inst, counters, fault_hook)
-            reproducer = instance_to_json("ore", inst)
-            verifier = lambda cand: bool(verify_ore(cand, {}, fault_hook))
-        elif mode == "brualdi":
-            graph, ms, mt = random_brualdi_case(rng, cfg)
-            problems = verify_brualdi(graph, ms, mt, counters, fault_hook)
-            binst = Instance.make(graph.grounds, initial=graph, matroid_s=ms, matroid_t=mt)
-            reproducer = instance_to_json("brualdi", binst)
-            verifier = None
-        else:
-            problems, reproducer = verify_reductions(rng, cfg, counters, fault_hook)
-            verifier = None
+        problems, reproducer = FUZZ_CASES[mode](rng, cfg, counters, fault_hook)
         if problems:
-            if inst is not None and verifier is not None:
-                shrunk = shrink_instance(inst, verifier)
-                mode_tag = reproducer["mode"]
-                reproducer = instance_to_json(mode_tag, shrunk)
             discrepancies.append(
                 {
                     "index": index,

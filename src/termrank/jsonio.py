@@ -9,6 +9,7 @@ problem being solved.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .bigraph import Bigraph, DegreeSpec, GroundSets, bits
 from .errors import InstanceError
@@ -16,17 +17,41 @@ from .feasibility import Instance, ViolationCert
 from .matroid import Matroid, enumerate_bases
 from .setfun import SetFunction
 
-MODES = ("ore", "msmt", "ms_only", "fully", "ryser", "brualdi", "ryser_gen")
 
-_COMMON_KEYS = {"mode", "S", "T"}
-_ALLOWED_KEYS = {
-    "ore": _COMMON_KEYS | {"h0", "m_S", "m_T"},
-    "msmt": _COMMON_KEYS | {"h0", "m_S", "m_T", "matroid_S", "matroid_T", "demand"},
-    "ms_only": _COMMON_KEYS | {"h0", "m_S", "matroid_S", "matroid_T", "demand"},
-    "fully": _COMMON_KEYS | {"h0", "m_S", "m_T", "matroid_S", "matroid_T", "demand"},
-    "ryser": _COMMON_KEYS | {"h0", "m_S", "m_T", "target_rank"},
-    "brualdi": _COMMON_KEYS | {"h0", "matroid_S", "matroid_T", "target_rank"},
-    "ryser_gen": _COMMON_KEYS | {"h0", "m_S", "m_T", "matroid_S", "matroid_T", "target_rank"},
+@dataclass(frozen=True)
+class ModeSchema:
+    """One instance mode: the fields it accepts besides mode, S, T and h0, and
+    the rules on them.
+
+    ``degrees`` is "both" (m_S and m_T required) or "left" (m_S required).
+    ``demand`` requires exactly one of demand and matroid_T and writes the
+    demand table back, never matroid_T.  ``matroids`` requires matroid_S and
+    matroid_T.  ``target_rank`` is "required", "optional", or "ranks"
+    (optional, and equal to both matroid ranks when given).  ``h0_edges`` is
+    False when h0 must be empty.
+    """
+
+    fields: str
+    degrees: str = ""
+    demand: bool = False
+    matroids: bool = False
+    target_rank: str = ""
+    h0_edges: bool = True
+
+
+MODES = {
+    "ore": ModeSchema("m_S m_T", degrees="both"),
+    "msmt": ModeSchema("m_S m_T matroid_S matroid_T demand", degrees="both", demand=True),
+    "ms_only": ModeSchema("m_S matroid_S matroid_T demand", degrees="left", demand=True),
+    "fully": ModeSchema("m_S m_T matroid_S matroid_T demand", degrees="both", demand=True),
+    "ryser": ModeSchema(
+        "m_S m_T target_rank", degrees="both", target_rank="required", h0_edges=False
+    ),
+    "brualdi": ModeSchema("matroid_S matroid_T target_rank", matroids=True, target_rank="ranks"),
+    "ryser_gen": ModeSchema(
+        "m_S m_T matroid_S matroid_T target_rank",
+        degrees="both", matroids=True, target_rank="optional",
+    ),
 }
 
 
@@ -46,12 +71,16 @@ def matroid_from_descriptor(ground, desc) -> Matroid:
         _reject_extra(desc, {"kind", "k"}, "matroid descriptor")
         if "k" not in desc:
             raise InstanceError("uniform matroid descriptor needs 'k'")
-        return Matroid.uniform(ground, int(desc["k"]))
+        return Matroid.uniform(ground, _parse_int(desc["k"], "uniform matroid descriptor k"))
     if kind == "partition":
         _reject_extra(desc, {"kind", "blocks", "caps"}, "matroid descriptor")
         if "blocks" not in desc or "caps" not in desc:
             raise InstanceError("partition matroid descriptor needs 'blocks' and 'caps'")
-        return Matroid.partition(ground, desc["blocks"], desc["caps"])
+        caps = desc["caps"]
+        if not isinstance(caps, list):
+            raise InstanceError("partition matroid descriptor caps: must be a list")
+        caps = [_parse_int(c, f"partition matroid descriptor caps[{i}]") for i, c in enumerate(caps)]
+        return Matroid.partition(ground, desc["blocks"], caps)
     if kind == "explicit":
         _reject_extra(desc, {"kind", "bases"}, "matroid descriptor")
         if "bases" not in desc:
@@ -97,14 +126,18 @@ def setfunction_from_json(data) -> SetFunction:
         if key not in raw:
             raise InstanceError(f"demand.values: missing subset key {key!r}")
         seen_keys.add(key)
-        try:
-            values.append(int(raw[key]))
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"demand.values[{key!r}]: not an integer") from exc
+        values.append(_parse_int(raw[key], f"demand.values[{key!r}]"))
     extra = set(raw) - seen_keys
     if extra:
         raise InstanceError(f"demand.values: unknown subset keys {sorted(extra)}")
     return SetFunction(ground, tuple(values))
+
+
+def _parse_int(value, field: str) -> int:
+    """A JSON integer; booleans, floats and numeric strings are rejected."""
+    if type(value) is not int:
+        raise InstanceError(f"{field}: not an integer")
+    return value
 
 
 def _reject_extra(data: dict, allowed: set[str], path: str) -> None:
@@ -130,10 +163,7 @@ def _parse_degrees(data, key: str, ids: tuple[str, ...]) -> tuple[int, ...]:
     for name in ids:
         if name not in raw:
             raise InstanceError(f"{key}: missing degree for node {name!r}")
-        try:
-            out.append(int(raw[name]))
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"{key}[{name!r}]: not an integer") from exc
+        out.append(_parse_int(raw[name], f"{key}[{name!r}]"))
     extra = set(raw) - set(ids)
     if extra:
         raise InstanceError(f"{key}: unknown node ids {sorted(extra)}")
@@ -147,15 +177,16 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
     mode = mode_override or data.get("mode")
     if mode is None:
         raise InstanceError("mode: missing (and no --mode override given)")
-    if mode not in MODES:
-        raise InstanceError(f"mode: unknown mode {mode!r}, expected one of {MODES}")
-    _reject_extra(data, _ALLOWED_KEYS[mode] | {"mode"}, "instance")
+    if not isinstance(mode, str) or mode not in MODES:
+        raise InstanceError(f"mode: unknown mode {mode!r}, expected one of {tuple(MODES)}")
+    spec = MODES[mode]
+    _reject_extra(data, {"mode", "S", "T", "h0", *spec.fields.split()}, "instance")
 
     grounds = GroundSets(_parse_ids(data, "S"), _parse_ids(data, "T"))
     initial = Bigraph.from_names(grounds, data.get("h0", []))
     if not initial.simple:
         raise InstanceError("h0: initial graph must be simple")
-    if mode == "ryser" and initial.edge_count:
+    if not spec.h0_edges and initial.edge_count:
         raise InstanceError("h0: the classic term-rank mode takes no initial edges")
 
     degrees = None
@@ -163,10 +194,9 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
         m_s = _parse_degrees(data, "m_S", grounds.s_ids)
         m_t = _parse_degrees(data, "m_T", grounds.t_ids) if "m_T" in data else None
         degrees = DegreeSpec(grounds, m_s, m_t)
-    if mode in ("ore", "msmt", "fully", "ryser", "ryser_gen"):
-        if degrees is None or degrees.m_t is None:
-            raise InstanceError(f"m_S/m_T: mode {mode!r} needs degrees on both classes")
-    if mode == "ms_only" and degrees is None:
+    if spec.degrees == "both" and (degrees is None or degrees.m_t is None):
+        raise InstanceError(f"m_S/m_T: mode {mode!r} needs degrees on both classes")
+    if spec.degrees == "left" and degrees is None:
         raise InstanceError("m_S: missing")
 
     matroid_s = None
@@ -181,25 +211,21 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
         if demand.ground != grounds.t_ids:
             raise InstanceError("demand.ground: must equal T in the same order")
 
-    if mode in ("msmt", "ms_only", "fully"):
+    if spec.demand:
         if demand is None and matroid_t is None:
             raise InstanceError(f"mode {mode!r} needs 'demand' or 'matroid_T'")
         if demand is not None and matroid_t is not None:
             raise InstanceError("give either 'demand' or 'matroid_T', not both")
-    if mode in ("brualdi", "ryser_gen"):
-        if matroid_s is None or matroid_t is None:
-            raise InstanceError(f"mode {mode!r} needs matroids on both classes")
+    if spec.matroids and (matroid_s is None or matroid_t is None):
+        raise InstanceError(f"mode {mode!r} needs matroids on both classes")
 
     target_rank = None
     if "target_rank" in data:
-        try:
-            target_rank = int(data["target_rank"])
-        except (TypeError, ValueError) as exc:
-            raise InstanceError("target_rank: not an integer") from exc
-    if mode == "ryser" and target_rank is None:
+        target_rank = _parse_int(data["target_rank"], "target_rank")
+    if spec.target_rank == "required" and target_rank is None:
         raise InstanceError("target_rank: missing")
     if (
-        mode == "brualdi"
+        spec.target_rank == "ranks"
         and target_rank is not None
         and (matroid_s.full_rank != target_rank or matroid_t.full_rank != target_rank)
     ):
@@ -233,22 +259,22 @@ def load_instance_file(path, mode_override: str | None = None) -> tuple[str, Ins
 
 def instance_to_json(mode: str, inst: Instance) -> dict:
     """Serialize back to the instance file schema (used for reproducers)."""
+    spec = MODES[mode]
     g = inst.grounds
     data: dict = {"mode": mode, "S": list(g.s_ids), "T": list(g.t_ids)}
     if inst.initial.edge_count:
         data["h0"] = [[a, b] for a, b in inst.initial.edge_names()]
-    if inst.degrees is not None:
+    if inst.degrees is not None and spec.degrees:
         data["m_S"] = {name: inst.degrees.m_s[i] for i, name in enumerate(g.s_ids)}
-        if inst.degrees.m_t is not None and mode != "ms_only":
+        if inst.degrees.m_t is not None and spec.degrees == "both":
             data["m_T"] = {name: inst.degrees.m_t[j] for j, name in enumerate(g.t_ids)}
-    if mode in ("msmt", "ms_only", "fully", "brualdi", "ryser_gen"):
-        if inst.matroid_s is not None:
-            data["matroid_S"] = matroid_descriptor(inst.matroid_s)
-    if mode in ("brualdi", "ryser_gen") and inst.matroid_t is not None:
+    if (spec.demand or spec.matroids) and inst.matroid_s is not None:
+        data["matroid_S"] = matroid_descriptor(inst.matroid_s)
+    if spec.matroids and inst.matroid_t is not None:
         data["matroid_T"] = matroid_descriptor(inst.matroid_t)
-    elif mode in ("msmt", "ms_only", "fully") and inst.demand is not None:
+    if spec.demand and inst.demand is not None:
         data["demand"] = setfunction_to_json(inst.demand)
-    if inst.target_rank is not None and mode in ("ryser", "brualdi", "ryser_gen"):
+    if spec.target_rank and inst.target_rank is not None:
         data["target_rank"] = inst.target_rank
     return data
 

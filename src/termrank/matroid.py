@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Sequence
 
-from .bigraph import bit_halves, locally_supermodular
+from .bigraph import bit_halves, bits, locally_supermodular, restrict_table
 from .errors import InstanceError
 
 
@@ -210,13 +210,5 @@ def enumerate_bases(m: Matroid) -> list[int]:
 
 def restrict(m: Matroid, keep_mask: int) -> Matroid:
     """Matroid restriction to the elements of ``keep_mask`` (used by shrinking)."""
-    keep = [i for i in range(m.n) if keep_mask >> i & 1]
-    ground = tuple(m.ground[i] for i in keep)
-    table = []
-    for a in range(1 << len(keep)):
-        orig = 0
-        for pos, i in enumerate(keep):
-            if a >> pos & 1:
-                orig |= 1 << i
-        table.append(m.rank[orig])
-    return Matroid(ground, tuple(table), kind="explicit")
+    ground = tuple(m.ground[i] for i in bits(keep_mask))
+    return Matroid(ground, restrict_table(m.rank, keep_mask), kind="explicit")

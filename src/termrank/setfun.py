@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bigraph import Bigraph, DegreeSpec, GroundSets, locally_supermodular
+from .bigraph import Bigraph, DegreeSpec, GroundSets, locally_supermodular, union_table
 from .errors import InstanceError
 from .matroid import Matroid, corank_values
 
@@ -153,10 +153,7 @@ def closed_family(h0: Bigraph) -> tuple[bool, ...]:
     closed under union and intersection.
     """
     g = h0.grounds
-    needed = [0] * (1 << g.n_t)
-    for y in range(1, 1 << g.n_t):
-        low = y & -y
-        needed[y] = needed[y ^ low] | h0.t_adj[low.bit_length() - 1]
+    needed = union_table(h0.t_adj)
     members = []
     for v_mask in range(1 << g.n_v):
         s_part, t_part = g.split(v_mask)
@@ -267,10 +264,12 @@ def full_demand(base: SetFunction, h0: Bigraph, spec: DegreeSpec) -> SetFunction
     return SetFunction(base.ground, tuple(vals))
 
 
-def st_independent_pair(a: int, b: int, grounds: GroundSets) -> bool:
-    """True iff no single left-to-right arc can enter both sets."""
-    s_all = grounds.s_all
-    t_upper = grounds.t_all << grounds.n_s
+def st_independent_pair(a: int, b: int, s_all: int, t_upper: int) -> bool:
+    """True iff no single left-to-right arc can enter both full-ground masks.
+
+    ``s_all`` and ``t_upper`` are the S bits and the (shifted) T bits of the
+    ground set; the two sets share no T node, or together hold every S node.
+    """
     if a & b & t_upper == 0:
         return True
     return s_all & ~(a | b) == 0
@@ -279,8 +278,9 @@ def st_independent_pair(a: int, b: int, grounds: GroundSets) -> bool:
 def st_independent(family, grounds: GroundSets) -> bool:
     """True iff the family of full-ground masks is pairwise independent."""
     members = list(family)
+    t_upper = grounds.t_all << grounds.n_s
     for idx, a in enumerate(members):
         for b in members[idx + 1 :]:
-            if not st_independent_pair(a, b, grounds):
+            if not st_independent_pair(a, b, grounds.s_all, t_upper):
                 return False
     return True
