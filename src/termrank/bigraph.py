@@ -156,10 +156,6 @@ class GroundSets:
     def t_all(self) -> int:
         return (1 << self.n_t) - 1
 
-    @property
-    def v_all(self) -> int:
-        return (1 << self.n_v) - 1
-
     def v_mask(self, s_mask: int, t_mask: int) -> int:
         """Combine class-local masks into a mask over the full ground set."""
         return s_mask | (t_mask << self.n_s)
@@ -181,10 +177,6 @@ class GroundSets:
 
     def t_names(self, t_mask: int) -> tuple[str, ...]:
         return tuple(self.t_ids[j] for j in bits(t_mask))
-
-    def v_names(self, v_mask: int) -> tuple[str, ...]:
-        s_mask, t_mask = self.split(v_mask)
-        return self.s_names(s_mask) + self.t_names(t_mask)
 
     def pair_indices(self, pairs) -> list[tuple[int, int]]:
         """(left index, right index) of each ``[left id, right id]`` pair, in order."""

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .bigraph import Bigraph, graph_union
 from .cover import (
+    build_via_cover,
     construct_brute,
-    construct_via_cover,
     find_matching_covering_bases,
     solve_term_rank,
 )
@@ -32,8 +33,10 @@ from .feasibility import (
 )
 from .harness import (
     FUZZ_MODES,
+    TERM_RANK_CROSSCHECKS,
     FuzzConfig,
     acceptance_report,
+    crosscheck,
     run_fuzz,
     validate_matching,
     validate_witness,
@@ -67,26 +70,26 @@ def _uniform_matroids(inst: Instance) -> Instance:
     )
 
 
-def _solve_graph(check, inst: Instance, route: str, stats: dict):
-    """Degree-specified augmentation: the condition, then a witness graph."""
+def _decide(mode: str, inst: Instance, stats: dict) -> ViolationCert | None:
+    """The mode's condition, then the cross-checks of its verdict."""
+    check, crosschecks, _solve = DISPATCH[mode]
     cert = check(inst, stats)
+    crosscheck(crosschecks, inst, cert, stats)
+    return cert
+
+
+def _solve_graph(mode: str, inst: Instance, route: str, stats: dict):
+    """Degree-specified augmentation: the condition, then a witness graph."""
+    cert = _decide(mode, inst, stats)
     if cert is not None:
         return cert
-    work = inst
-    if inst.demand is None:
-        work = Instance.make(
-            inst.grounds,
-            initial=inst.initial,
-            degrees=inst.degrees,
-            matroid_s=inst.matroid_s,
-            demand=constant(inst.grounds.t_ids, 0),
-        )
+    work = inst if inst.demand is not None else replace(inst, demand=constant(inst.grounds.t_ids, 0))
     if inst.degrees.m_t is None and route != "brute":
         # the cover route lifts both degree sides
         route = stats["route"] = "brute"
     built = None
     if route in ("cover", "both"):
-        built = construct_via_cover(work, stats=stats)
+        built = build_via_cover(work, stats)
     brute = None
     if route in ("brute", "both"):
         brute = construct_brute(work, stats=stats)
@@ -97,9 +100,9 @@ def _solve_graph(check, inst: Instance, route: str, stats: dict):
     return witness_to_json(inst.grounds, built if built is not None else brute, None)
 
 
-def _solve_matching(check, inst: Instance, route: str, stats: dict):
+def _solve_matching(mode: str, inst: Instance, route: str, stats: dict):
     """Basis-covering matching in the given graph: the condition, then the matching."""
-    cert = check(inst, stats)
+    cert = _decide(mode, inst, stats)
     if cert is not None:
         return cert
     matching = find_matching_covering_bases(
@@ -108,40 +111,45 @@ def _solve_matching(check, inst: Instance, route: str, stats: dict):
     return witness_to_json(inst.grounds, None, matching)
 
 
-def _solve_term_rank(check, inst: Instance, route: str, stats: dict):
+def _solve_term_rank(mode: str, inst: Instance, route: str, stats: dict):
     """Term-rank augmentation, decided and built by ``solve_term_rank``.
 
     The classic mode, which carries no matroids, first runs its own
     condition and is then solved with uniform matroids of the target rank.
+    Both modes always build by cover, whatever the route.
     """
     if inst.matroid_t is None:
-        cert = check(inst, stats)
+        cert = _decide(mode, inst, stats)
         if cert is not None:
             return cert
         inst = _uniform_matroids(inst)
     result = solve_term_rank(inst, stats=stats)
+    crosscheck(TERM_RANK_CROSSCHECKS, inst, result, stats)
     if isinstance(result, ViolationCert):
         return result
     graph, matching = result
     return witness_to_json(inst.grounds, graph, matching)
 
 
-# mode -> (condition checker, `solve` constructor).  The checkers name their
-# functions when they run, so a replaced module attribute is the one called.
+# mode -> (condition checker, the harness cross-checks of its verdict, `solve`
+# constructor).  The checkers name their functions when they run, so a
+# replaced module attribute is the one called.
 DISPATCH = {
-    "ore": (lambda inst, stats: check_ore(inst.complement, inst.degrees, stats=stats), _solve_graph),
-    "msmt": (lambda inst, stats: check_msmt(inst, stats=stats), _solve_graph),
-    "ms_only": (lambda inst, stats: check_ms_only(inst, stats=stats), _solve_graph),
-    "fully": (lambda inst, stats: check_fully(inst, stats=stats), _solve_graph),
+    "ore": (lambda inst, stats: check_ore(inst.complement, inst.degrees, stats=stats), (), _solve_graph),
+    "msmt": (lambda inst, stats: check_msmt(inst, stats=stats), (), _solve_graph),
+    "ms_only": (lambda inst, stats: check_ms_only(inst, stats=stats), (), _solve_graph),
+    "fully": (lambda inst, stats: check_fully(inst, stats=stats), (), _solve_graph),
     "ryser": (
         lambda inst, stats: check_ryser(inst.degrees, inst.target_rank, stats=stats),
-        _solve_term_rank,
+        ("ryser_prefix",), _solve_term_rank,
     ),
     "brualdi": (
         lambda inst, stats: check_brualdi(inst.initial, inst.matroid_s, inst.matroid_t, stats=stats),
-        _solve_matching,
+        ("brualdi_forms",), _solve_matching,
     ),
-    "ryser_gen": (lambda inst, stats: check_ryser_gen(inst, stats=stats), _solve_term_rank),
+    "ryser_gen": (
+        lambda inst, stats: check_ryser_gen(inst, stats=stats), ("ryser_gen_lift",), _solve_term_rank
+    ),
 }
 
 
@@ -193,8 +201,7 @@ def cmd_check(args) -> int:
         payload["witness_problems"] = problems
         _emit(payload, args.out)
         return EXIT_FEASIBLE if not problems else EXIT_INFEASIBLE
-    check, _solve = DISPATCH[mode]
-    cert = check(inst, stats)
+    cert = _decide(mode, inst, stats)
     stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
     if cert is None:
         _emit(result_to_json("feasible", grounds=inst.grounds, stats=stats), args.out)
@@ -210,8 +217,8 @@ def cmd_solve(args) -> int:
     mode, inst = load_instance_file(args.path, args.mode)
     stats: dict = {"mode": mode, "route": args.route}
     start = time.perf_counter()
-    check, solve = DISPATCH[mode]
-    result = solve(check, inst, args.route, stats)
+    _check, _crosschecks, solve = DISPATCH[mode]
+    result = solve(mode, inst, args.route, stats)
     stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
     if isinstance(result, ViolationCert):
         _emit(

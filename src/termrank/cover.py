@@ -4,7 +4,10 @@ constructor, and matchings covering matroid bases.
 
 The arc-cover search is exact branch-and-bound; its optimality certificate is
 an independently computed maximum-value independent family, and the two
-totals are asserted equal on every call.
+totals are asserted equal on every call.  The builders decide nothing twice:
+a caller that has already decided an instance builds it with
+``build_via_cover``, and comparing a decision with the brute-force
+constructor is the harness's ``brute_witness`` cross-check.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from dataclasses import dataclass
 
 from .bigraph import Bigraph, bits, fits, graph_union, union_table
 from .errors import InstanceError, InfeasibleError, PreconditionError
-from .feasibility import Instance, ViolationCert, check_msmt, check_ryser_gen
+from .feasibility import (
+    Instance,
+    ViolationCert,
+    check_msmt,
+    check_ryser_gen,
+    common_rank,
+    corank_instance,
+)
 from .matroid import Matroid
 from .setfun import (
     SetFunction,
@@ -278,15 +288,26 @@ def matroid_covers(graph: Bigraph, matroid_s: Matroid, demand: SetFunction) -> b
 
 
 def construct_via_cover(inst: Instance, stats: dict | None = None) -> Bigraph:
-    """Build a witness graph by lifting the demand and covering it minimally.
+    """Decide the augmentation condition, then build a witness graph.
 
-    The underlying graph of a minimum cover fits the degree prescription, is
-    edge-disjoint from the initial graph, and covers the demand; all three
-    are asserted, with a greedy re-minimalization retry before giving up.
+    Raises ``InfeasibleError`` with the ``check_msmt`` certificate when the
+    condition fails; otherwise returns ``build_via_cover``'s graph.
     """
     cert = check_msmt(inst)
     if cert is not None:
         raise InfeasibleError("instance fails the augmentation condition", cert)
+    return build_via_cover(inst, stats)
+
+
+def build_via_cover(inst: Instance, stats: dict | None) -> Bigraph:
+    """Build a witness graph by lifting the demand and covering it minimally.
+
+    The instance must pass the augmentation condition; this is not checked
+    again.  The underlying graph of a minimum cover fits the degree
+    prescription, is edge-disjoint from the initial graph, and covers the
+    demand; the cover's min-max identity and all three properties are
+    asserted, with a greedy re-minimalization retry before giving up.
+    """
     lifted = full_demand(
         base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s),
         inst.initial,
@@ -394,13 +415,7 @@ def find_matching_covering_bases(
     basis on either side.
     """
     g = graph.grounds
-    if matroid_s.ground != g.s_ids or matroid_t.ground != g.t_ids:
-        raise InstanceError("matroids do not live on the graph's ground sets")
-    if matroid_s.full_rank != matroid_t.full_rank:
-        raise InstanceError(
-            f"rank mismatch: {matroid_s.full_rank} on the left vs {matroid_t.full_rank} on the right"
-        )
-    ell = matroid_s.full_rank
+    ell = common_rank(graph, matroid_s, matroid_t)
     if ell == 0:
         return ()
     edges = sorted(set(graph.edges))
@@ -446,25 +461,15 @@ def solve_term_rank(
 ) -> tuple[Bigraph, tuple[tuple[int, int], ...]] | ViolationCert:
     """Decide the matroidal term-rank augmentation problem constructively.
 
-    On failure returns the violating certificate.  On success builds the
-    witness graph through the cover route, cross-checks it against the
-    brute-force constructor, and extracts the basis-covering matching from
-    the augmented graph.
+    Decides once, by ``check_ryser_gen``, and returns its certificate on
+    failure.  On success builds the witness graph through the cover route on
+    ``corank_instance`` and extracts the basis-covering matching from the
+    augmented graph.
     """
     cert = check_ryser_gen(inst, stats=stats)
     if cert is not None:
         return cert
-    work = Instance.make(
-        inst.grounds,
-        initial=inst.initial,
-        degrees=inst.degrees,
-        matroid_s=inst.matroid_s,
-        matroid_t=inst.matroid_t,
-    )
-    graph = construct_via_cover(work, stats=stats)
-    brute = construct_brute(work, stats=stats)
-    if brute is None:
-        raise AssertionError("brute-force cross-check failed to find a witness")
+    graph = build_via_cover(corank_instance(inst), stats)
     plus = graph_union(graph, inst.initial)
     matching = find_matching_covering_bases(plus, inst.matroid_s, inst.matroid_t, stats=stats)
     if matching is None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator
 
@@ -281,6 +282,19 @@ def _bump(stats: dict | None, key: str, amount: int = 1) -> None:
         stats[key] = stats.get(key, 0) + amount
 
 
+def _flat_cert(
+    which: str, table: list[int], degrees: DegreeSpec, stats: dict | None
+) -> ViolationCert | None:
+    """Decide a flat ``x | y << n_s`` table against the degree total: None when
+    its maximum is at most gamma, else the first maximiser's certificate."""
+    _bump(stats, "ineq_evals", len(table))
+    lhs, idx = _table_argmax(table)
+    if lhs <= degrees.gamma:
+        return None
+    x, y = _split_index(degrees.grounds, idx)
+    return ViolationCert(which, x=x, y=y, lhs=lhs, rhs=degrees.gamma)
+
+
 def _require_full_degrees(degrees: DegreeSpec | None) -> DegreeSpec:
     if degrees is None or degrees.m_t is None:
         raise InstanceError("this condition needs degrees on both classes")
@@ -294,14 +308,7 @@ def check_ore(g0: Bigraph, degrees: DegreeSpec, stats: dict | None = None) -> Vi
     degrees = _require_full_degrees(degrees)
     if degrees.grounds != g0.grounds:
         raise InstanceError("degree specification lives on different ground sets")
-    gamma = degrees.gamma
-    table = _ore_table(g0, degrees)
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    if lhs <= gamma:
-        return None
-    x, y = _split_index(g0.grounds, idx)
-    return ViolationCert("ore", x=x, y=y, lhs=lhs, rhs=gamma)
+    return _flat_cert("ore", _ore_table(g0, degrees), degrees, stats)
 
 
 def _useful_parts_by_x(
@@ -457,37 +464,35 @@ def _product_table(degrees: DegreeSpec, extra_row=None) -> list[int]:
     return table
 
 
-def _ore0_max(degrees: DegreeSpec, stats: dict | None = None) -> tuple[int, tuple[int, int]]:
-    table = _product_table(degrees)
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    return lhs, _split_index(degrees.grounds, idx)
-
-
 def check_ore0(degrees: DegreeSpec, stats: dict | None = None) -> ViolationCert | None:
     """Realizability of a degree pair by a simple bigraph (complete host)."""
     degrees = _require_full_degrees(degrees)
-    lhs, (x, y) = _ore0_max(degrees, stats)
-    if lhs <= degrees.gamma:
-        return None
-    return ViolationCert("ore0", x=x, y=y, lhs=lhs, rhs=degrees.gamma)
+    return _flat_cert("ore0", _product_table(degrees), degrees, stats)
+
+
+def ryser_table(degrees: DegreeSpec, ell: int) -> list[int]:
+    """The classic term-rank condition's left-hand side, flat over ``x | y << n_s``:
+    sum_s(x) + sum_t(y) - |x||y| + ell - |x| - |y|."""
+    s_sums, sizes = _degree_rows(degrees)
+    table: list[int] = []
+    for y in range(1 << degrees.grounds.n_t):
+        ny = y.bit_count()
+        row_const = degrees.sum_t(y) - ny + ell
+        table += [s - nx * (ny + 1) + row_const for s, nx in zip(s_sums, sizes)]
+    return table
 
 
 def ryser_prefix_max(degrees: DegreeSpec, ell: int) -> int:
     """Largest left-hand side over prefixes of the sorted degree sequences.
 
     For any subset size the sum is maximized by the largest degree values, so
-    this equals the maximum over all subset pairs; the full checker asserts
-    that on every call.
+    this equals the maximum of ``ryser_table``; the harness's ``ryser_prefix``
+    cross-check asserts that.
     """
     degrees = _require_full_degrees(degrees)
     g = degrees.grounds
-    pref_s = [0]
-    for v in sorted(degrees.m_s, reverse=True):
-        pref_s.append(pref_s[-1] + v)
-    pref_t = [0]
-    for v in sorted(degrees.m_t, reverse=True):
-        pref_t.append(pref_t[-1] + v)
+    pref_s = [0, *accumulate(sorted(degrees.m_s, reverse=True))]
+    pref_t = [0, *accumulate(sorted(degrees.m_t, reverse=True))]
     return max(
         pref_s[i] + pref_t[j] - i * j + (ell - i - j)
         for i in range(g.n_s + 1)
@@ -499,30 +504,18 @@ def check_ryser(degrees: DegreeSpec, ell: int, stats: dict | None = None) -> Vio
     """Classic max term rank condition for a degree pair and matching target.
 
     Raises a precondition error when the degree pair is not realizable at
-    all.  Evaluates both the full quantification over subsets and the
-    reduction to sorted-prefix sets and insists they agree.
+    all.  Decides by the full quantification over subset pairs; the
+    sorted-prefix reduction (``ryser_prefix_max``) is not evaluated here.
     """
     degrees = _require_full_degrees(degrees)
     g = degrees.grounds
     if not 0 <= ell <= g.n_t:
         raise InstanceError(f"matching target {ell} out of range for |T| = {g.n_t}")
-    gamma = degrees.gamma
-    sizes = [x.bit_count() for x in range(1 << g.n_s)]
-    table = _product_table(degrees, lambda y: [ell - nx - y.bit_count() for nx in sizes])
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    prefix_max = ryser_prefix_max(degrees, ell)
-    if prefix_max != lhs:
-        raise AssertionError(
-            f"prefix reduction disagrees with full quantification: {prefix_max} vs {lhs}"
-        )
+    cert = _flat_cert("ryser", ryser_table(degrees, ell), degrees, stats)
     ore0 = check_ore0(degrees, stats)
     if ore0 is not None:
         raise PreconditionError("degree pair is not realizable by any simple bigraph", ore0)
-    if lhs <= gamma:
-        return None
-    x, y = _split_index(g, idx)
-    return ViolationCert("ryser", x=x, y=y, lhs=lhs, rhs=gamma)
+    return cert
 
 
 def _uncovered_t_table(graph: Bigraph) -> list[int]:
@@ -544,40 +537,33 @@ def _cover_table(needed: list[int], rank_s, rank_t, n_t: int) -> list[int]:
     return table
 
 
-def check_brualdi(
-    graph: Bigraph, matroid_s: Matroid, matroid_t: Matroid, stats: dict | None = None
-) -> ViolationCert | None:
-    """Existence of a matching covering bases of both matroids.
-
-    Checked over every vertex cover (rank sum must reach the common rank) and
-    via the equivalent neighborhood-rank form; the two verdicts are computed
-    independently and must agree.
-    """
-    g = graph.grounds
-    if matroid_s.ground != g.s_ids or matroid_t.ground != g.t_ids:
+def common_rank(graph: Bigraph, matroid_s: Matroid, matroid_t: Matroid) -> int:
+    """The full rank shared by two matroids on the classes of a graph."""
+    if matroid_s.ground != graph.grounds.s_ids or matroid_t.ground != graph.grounds.t_ids:
         raise InstanceError("matroids do not live on the graph's ground sets")
     if matroid_s.full_rank != matroid_t.full_rank:
         raise InstanceError(
             f"rank mismatch: {matroid_s.full_rank} on the left vs {matroid_t.full_rank} on the right"
         )
-    ell = matroid_s.full_rank
+    return matroid_s.full_rank
+
+
+def check_brualdi(
+    graph: Bigraph, matroid_s: Matroid, matroid_t: Matroid, stats: dict | None = None
+) -> ViolationCert | None:
+    """Existence of a matching covering bases of both matroids.
+
+    Decided over every vertex cover: the rank sum must reach the common rank.
+    The equivalent neighborhood-rank form is not evaluated here.
+    """
+    g = graph.grounds
+    ell = common_rank(graph, matroid_s, matroid_t)
     needed = _uncovered_t_table(graph)
     table = _cover_table(needed, matroid_s.rank, matroid_t.rank, g.n_t)
     _bump(stats, "ineq_evals", len(table) - table.count(_NEG))
     best, idx = _table_argmax(table)
     lhs = ell + best
-    verdict_cover = lhs <= 0
-    nbr = union_table(graph.t_adj)
-    full_t = g.t_all
-    verdict_nbr = True
-    for y in range(1 << g.n_t):
-        dem = ell - matroid_t.rank[full_t ^ y]
-        if matroid_s.rank[nbr[y]] < dem:
-            verdict_nbr = False
-            break
-    if verdict_cover != verdict_nbr:
-        raise AssertionError("vertex-cover and neighborhood-rank forms disagree")
-    if verdict_cover:
+    if lhs <= 0:
         return None
     xp, yp = _split_index(g, idx)
     return ViolationCert("brualdi", xp=xp, yp=yp, lhs=lhs, rhs=0)
@@ -644,28 +630,29 @@ def check_ryser_gen(inst: Instance, stats: dict | None = None) -> ViolationCert 
     """Matroidal term rank augmentation condition.
 
     Quantifies over nested subset pairs whose outer pair covers all initial
-    edges.  Internally also evaluates the reduction to the fully supermodular
-    condition with the right matroid's complementary rank as demand, and
-    insists the two verdicts agree.
+    edges.  The equivalent fully supermodular condition on ``corank_instance``
+    is not evaluated here.
     """
     degrees = _require_full_degrees(inst.degrees)
     ell = _resolve_common_rank(inst)
-    result = check_ore(inst.complement, degrees, stats=stats)
-    if result is None:
-        result = _nested_pair_cert(
-            inst, "ryser_gen", degrees, ell, inst.matroid_s.rank, inst.matroid_t.rank, stats
-        )
-    reduced = Instance.make(
+    ore = check_ore(inst.complement, degrees, stats=stats)
+    if ore is not None:
+        return ore
+    return _nested_pair_cert(
+        inst, "ryser_gen", degrees, ell, inst.matroid_s.rank, inst.matroid_t.rank, stats
+    )
+
+
+def corank_instance(inst: Instance) -> Instance:
+    """A term-rank instance as an augmentation instance: the right matroid's
+    complementary rank is the demand, and the target rank is dropped."""
+    return Instance.make(
         inst.grounds,
         initial=inst.initial,
         degrees=inst.degrees,
         matroid_s=inst.matroid_s,
         matroid_t=inst.matroid_t,
     )
-    via_fully = check_fully(reduced)
-    if (result is None) != (via_fully is None):
-        raise AssertionError("nested-pair form disagrees with the demand-lift reduction")
-    return result
 
 
 def check_ryser_novel(
@@ -682,13 +669,12 @@ def check_ryser_novel(
     return _nested_pair_cert(inst, "ryser_novel", degrees, ell, sizes_s, sizes_t, stats)
 
 
-def check_ryser_matroid(
-    degrees: DegreeSpec,
-    matroid_s: Matroid,
-    matroid_t: Matroid,
-    stats: dict | None = None,
+def _synthesis_cert(
+    which: str, degrees: DegreeSpec, matroid_s: Matroid, matroid_t: Matroid, floor: int,
+    stats: dict | None,
 ) -> ViolationCert | None:
-    """Synthesis specialization (no initial edges) of the matroidal condition."""
+    """The synthesis condition with rank slack ``max(ell - r_S(x) - r_T(y), floor)``:
+    floor ``_NEG`` keeps the slack as it is, floor 0 takes its positive part."""
     degrees = _require_full_degrees(degrees)
     g = degrees.grounds
     if matroid_s.ground != g.s_ids or matroid_t.ground != g.t_ids:
@@ -696,15 +682,19 @@ def check_ryser_matroid(
     if matroid_s.full_rank != matroid_t.full_rank:
         raise InstanceError("rank mismatch between the two matroids")
     ell = matroid_s.full_rank
-    gamma = degrees.gamma
     rank_s, rank_t = matroid_s.rank, matroid_t.rank
-    table = _product_table(degrees, lambda y: [ell - r - rank_t[y] for r in rank_s])
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    if lhs <= gamma:
-        return None
-    x, y = _split_index(g, idx)
-    return ViolationCert("ryser_matroid", x=x, y=y, lhs=lhs, rhs=gamma)
+    table = _product_table(degrees, lambda y: [max(ell - r - rank_t[y], floor) for r in rank_s])
+    return _flat_cert(which, table, degrees, stats)
+
+
+def check_ryser_matroid(
+    degrees: DegreeSpec,
+    matroid_s: Matroid,
+    matroid_t: Matroid,
+    stats: dict | None = None,
+) -> ViolationCert | None:
+    """Synthesis specialization (no initial edges) of the matroidal condition."""
+    return _synthesis_cert("ryser_matroid", degrees, matroid_s, matroid_t, _NEG, stats)
 
 
 def check_integrated(
@@ -716,32 +706,10 @@ def check_integrated(
     """Single-inequality form folding realizability and the matroid condition.
 
     The rank slack enters through a positive part, so one family of
-    inequalities covers both; the equivalence with the two separate checks is
-    asserted on every call.
+    inequalities covers both realizability (``check_ore0``) and the matroid
+    condition (``check_ryser_matroid``); neither is evaluated here.
     """
-    degrees = _require_full_degrees(degrees)
-    g = degrees.grounds
-    if matroid_s.ground != g.s_ids or matroid_t.ground != g.t_ids:
-        raise InstanceError("matroids do not live on the degree spec's ground sets")
-    if matroid_s.full_rank != matroid_t.full_rank:
-        raise InstanceError("rank mismatch between the two matroids")
-    ell = matroid_s.full_rank
-    gamma = degrees.gamma
-    rank_s, rank_t = matroid_s.rank, matroid_t.rank
-    table = _product_table(degrees, lambda y: [max(ell - r - rank_t[y], 0) for r in rank_s])
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    verdict = lhs <= gamma
-    split = (
-        check_ore0(degrees) is None
-        and check_ryser_matroid(degrees, matroid_s, matroid_t) is None
-    )
-    if verdict != split:
-        raise AssertionError("integrated form disagrees with the two-condition split")
-    if verdict:
-        return None
-    x, y = _split_index(g, idx)
-    return ViolationCert("integrated", x=x, y=y, lhs=lhs, rhs=gamma)
+    return _synthesis_cert("integrated", degrees, matroid_s, matroid_t, 0, stats)
 
 
 def check_csak_mon(inst: Instance, stats: dict | None = None) -> ViolationCert | None:
@@ -754,17 +722,11 @@ def check_csak_mon(inst: Instance, stats: dict | None = None) -> ViolationCert |
     ore0 = check_ore0(degrees, stats)
     if ore0 is not None:
         return ore0
-    g = inst.grounds
-    gamma = degrees.gamma
+    t_all = inst.grounds.t_all
     dem = inst.demand.values
     rank = inst.matroid_s.rank
-    table = _product_table(degrees, lambda y: [dem[g.t_all ^ y] - r for r in rank])
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
-    if lhs <= gamma:
-        return None
-    x, y = _split_index(g, idx)
-    return ViolationCert("csak_mon", x=x, y=y, lhs=lhs, rhs=gamma)
+    table = _product_table(degrees, lambda y: [dem[t_all ^ y] - r for r in rank])
+    return _flat_cert("csak_mon", table, degrees, stats)
 
 
 def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:

@@ -3,11 +3,14 @@ checker-versus-constructor equivalence bundles, independent witness
 validators, a counterexample shrinker, and the acceptance criteria shared by
 the test suite and the CLI self-test.
 
-Every bundle asserts an identity the package is built around (the decision
-procedure agrees with exhaustive construction, the minimum cover equals the
-maximum independent family, the reduction forms agree) and reports any
-deviation as a discrepancy with a reproducer instance file; a correct build
-produces zero discrepancies.
+The decision procedures compute each verdict once.  The identities between
+two forms of a decision are the named cross-checks in ``CROSSCHECKS``; the
+CLI runs them after its decisions, and the bundles, the prefix slab and the
+self-test call them too.  Every bundle asserts an identity the package is
+built around (the decision procedure agrees with exhaustive construction,
+the minimum cover equals the maximum independent family, the reduction forms
+agree) and reports any deviation as a discrepancy with a reproducer instance
+file; a correct build produces zero discrepancies.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .bigraph import (
     graph_union,
     matching_number,
     restrict_table,
+    union_table,
 )
 from .cover import (
     construct_brute,
@@ -50,7 +54,10 @@ from .feasibility import (
     check_ryser_gen,
     check_ryser_matroid,
     check_ryser_novel,
+    corank_instance,
     recompute_lhs,
+    ryser_prefix_max,
+    ryser_table,
 )
 from .jsonio import instance_to_json
 from .matroid import Matroid, restrict
@@ -113,13 +120,12 @@ def _bump(counters: dict, key: str, amount: int = 1) -> None:
 # generators
 
 
+def _grounds(n_s: int, n_t: int) -> GroundSets:
+    return GroundSets(tuple(f"s{i + 1}" for i in range(n_s)), tuple(f"t{j + 1}" for j in range(n_t)))
+
+
 def _random_grounds(rng: random.Random, max_s: int, max_t: int) -> GroundSets:
-    n_s = rng.randint(1, max_s)
-    n_t = rng.randint(1, max_t)
-    return GroundSets(
-        tuple(f"s{i + 1}" for i in range(n_s)),
-        tuple(f"t{j + 1}" for j in range(n_t)),
-    )
+    return _grounds(rng.randint(1, max_s), rng.randint(1, max_t))
 
 
 def _random_initial(rng: random.Random, grounds: GroundSets, density: float) -> Bigraph:
@@ -367,6 +373,77 @@ def _check_certificate(cert, inst: Instance, counters: dict, problems: list[str]
 
 
 # ---------------------------------------------------------------------------
+# cross-checks: each asserts one identity between two forms of a decision, given
+# the instance, the decision's result (a ViolationCert when it fails) and the
+# stats.  They name the checkers they call when they run, so a replaced module
+# attribute is the one called.
+
+
+def ryser_prefix(inst: Instance, result, stats: dict | None) -> None:
+    """The classic term-rank table's maximum equals its sorted-prefix maximum."""
+    full = max(ryser_table(inst.degrees, inst.target_rank))
+    prefix = ryser_prefix_max(inst.degrees, inst.target_rank)
+    if prefix != full:
+        raise AssertionError(f"prefix reduction disagrees with full quantification: {prefix} vs {full}")
+
+
+def brualdi_forms(inst: Instance, result, stats: dict | None) -> None:
+    """The vertex-cover verdict equals the neighborhood-rank verdict."""
+    ms, mt = inst.matroid_s, inst.matroid_t
+    nbr = union_table(inst.initial.t_adj)
+    t_all = inst.grounds.t_all
+    by_nbr = all(
+        ms.rank[nbr[y]] >= ms.full_rank - mt.rank[t_all ^ y] for y in range(t_all + 1)
+    )
+    if by_nbr != (not isinstance(result, ViolationCert)):
+        raise AssertionError("vertex-cover and neighborhood-rank forms disagree")
+
+
+def ryser_gen_lift(inst: Instance, result, stats: dict | None) -> None:
+    """The nested-pair verdict equals ``check_fully`` on the corank demand."""
+    by_lift = check_fully(corank_instance(inst)) is None
+    if by_lift != (not isinstance(result, ViolationCert)):
+        raise AssertionError("nested-pair form disagrees with the demand-lift reduction")
+
+
+def integrated_split(inst: Instance, result, stats: dict | None) -> None:
+    """The integrated verdict equals ``check_ore0`` and ``check_ryser_matroid`` together."""
+    degrees = inst.degrees
+    split = (
+        check_ore0(degrees) is None
+        and check_ryser_matroid(degrees, inst.matroid_s, inst.matroid_t) is None
+    )
+    if split != (not isinstance(result, ViolationCert)):
+        raise AssertionError("integrated form disagrees with the two-condition split")
+
+
+def brute_witness(inst: Instance, result, stats: dict | None) -> None:
+    """``construct_brute`` finds a witness whenever the term-rank decision passes."""
+    if isinstance(result, ViolationCert):
+        return
+    if construct_brute(corank_instance(inst), stats=stats) is None:
+        raise AssertionError("brute-force cross-check failed to find a witness")
+
+
+CROSSCHECKS = {
+    "ryser_prefix": ryser_prefix,
+    "brualdi_forms": brualdi_forms,
+    "ryser_gen_lift": ryser_gen_lift,
+    "integrated_split": integrated_split,
+    "brute_witness": brute_witness,
+}
+# the identities behind a solve_term_rank answer: it decides by
+# check_ryser_gen and then builds
+TERM_RANK_CROSSCHECKS = ("ryser_gen_lift", "brute_witness")
+
+
+def crosscheck(names: tuple[str, ...], inst: Instance, result, stats: dict | None) -> None:
+    """Run the named cross-checks on one decision's result."""
+    for name in names:
+        CROSSCHECKS[name](inst, result, stats)
+
+
+# ---------------------------------------------------------------------------
 # verification bundles
 
 
@@ -510,8 +587,9 @@ def verify_brualdi(inst: Instance, counters: dict, fault=None) -> list[str]:
     """The matching condition against the matching search and subset enumeration."""
     graph, ms, mt = inst.initial, inst.matroid_s, inst.matroid_t
     problems: list[str] = []
+    cert = check_brualdi(graph, ms, mt)
     try:
-        cert = check_brualdi(graph, ms, mt)
+        brualdi_forms(inst, cert, None)
     except AssertionError as exc:
         return [f"the two condition forms disagree: {exc}"]
     feasible = cert is None
@@ -569,17 +647,14 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
             grounds, degrees=degrees, matroid_s=ms, matroid_t=mt, target_rank=ell
         )
         reproducer = instance_to_json("ryser_gen", inst)
-        gen = check_ryser_gen(inst) is None
-        if fault is not None:
-            gen = fault("ryser_gen_checker", gen)
-        matroid_form = (
-            check_ore0(degrees) is None
-            and check_ryser_matroid(degrees, ms, mt) is None
-        )
-        integrated = check_integrated(degrees, ms, mt) is None
-        if not (gen == matroid_form == integrated):
+        gen = _ryser_gen_verdict(inst, fault)
+        cert = check_integrated(degrees, ms, mt)
+        integrated_split(inst, cert, None)
+        integrated = cert is None
+        if gen != integrated:
+            # integrated_split has shown that the synthesis form agrees
             problems.append(
-                f"nested-pair {gen} vs synthesis form {matroid_form} vs integrated {integrated}"
+                f"nested-pair {gen} vs synthesis form {integrated} vs integrated {integrated}"
             )
         general = check_msmt(inst) is None
         if general != gen:
@@ -599,9 +674,7 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
         target_rank=ell,
     )
     reproducer = instance_to_json("ryser_gen", inst)
-    gen = check_ryser_gen(inst) is None
-    if fault is not None:
-        gen = fault("ryser_gen_checker", gen)
+    gen = _ryser_gen_verdict(inst, fault)
     novel = check_ryser_novel(inst, ell) is None
     if gen != novel:
         problems.append(f"nested-pair {gen} vs cardinality form {novel}")
@@ -609,6 +682,7 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
     if general != gen:
         problems.append(f"nested-pair {gen} vs demand-lift condition {general}")
     if initial.edge_count == 0:
+        ryser_prefix(inst, None, None)
         try:
             classic = check_ryser(degrees, ell) is None
         except PreconditionError:
@@ -626,10 +700,19 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
     return problems, reproducer
 
 
+def _ryser_gen_verdict(inst: Instance, fault) -> bool:
+    """check_ryser_gen's verdict, cross-checked by ``ryser_gen_lift``, then the fault hook."""
+    cert = check_ryser_gen(inst)
+    ryser_gen_lift(inst, cert, None)
+    gen = cert is None
+    return gen if fault is None else fault("ryser_gen_checker", gen)
+
+
 def solve_term_rank_checked(inst: Instance, counters: dict, problems: list[str]):
-    """Run the end-to-end solver and validate whatever it returns."""
+    """Run the end-to-end solver, cross-check it, and validate whatever it returns."""
     try:
         result = solve_term_rank(inst)
+        crosscheck(TERM_RANK_CROSSCHECKS, inst, result, None)
     except AssertionError as exc:
         problems.append(f"solver internal cross-check failed: {exc}")
         return None
@@ -654,23 +737,18 @@ def solve_term_rank_checked(inst: Instance, counters: dict, problems: list[str])
 # shrinking
 
 
+# The node-dropping candidates are drawn only for instances with degrees, and
+# a right node only when the right degrees are given too.
 def _drop_s_node(inst: Instance, i: int) -> Instance:
     g = inst.grounds
     keep = [k for k in range(g.n_s) if k != i]
     grounds = GroundSets(tuple(g.s_ids[k] for k in keep), g.t_ids)
     remap = {k: pos for pos, k in enumerate(keep)}
     edges = tuple((remap[s], t) for s, t in inst.initial.edges if s != i)
-    degrees = None
-    if inst.degrees is not None:
-        degrees = DegreeSpec(
-            grounds,
-            tuple(inst.degrees.m_s[k] for k in keep),
-            inst.degrees.m_t,
-        )
     return Instance.make(
         grounds,
         initial=Bigraph(grounds, edges),
-        degrees=degrees,
+        degrees=DegreeSpec(grounds, tuple(inst.degrees.m_s[k] for k in keep), inst.degrees.m_t),
         matroid_s=restrict(inst.matroid_s, sum(1 << k for k in keep)),
         demand=inst.demand,
         target_rank=inst.target_rank,
@@ -683,12 +761,7 @@ def _drop_t_node(inst: Instance, j: int) -> Instance:
     grounds = GroundSets(g.s_ids, tuple(g.t_ids[k] for k in keep))
     remap = {k: pos for pos, k in enumerate(keep)}
     edges = tuple((s, remap[t]) for s, t in inst.initial.edges if t != j)
-    degrees = None
-    if inst.degrees is not None:
-        m_t = None
-        if inst.degrees.m_t is not None:
-            m_t = tuple(inst.degrees.m_t[k] for k in keep)
-        degrees = DegreeSpec(grounds, inst.degrees.m_s, m_t)
+    degrees = DegreeSpec(grounds, inst.degrees.m_s, tuple(inst.degrees.m_t[k] for k in keep))
     demand = None
     if inst.demand is not None:
         demand = SetFunction(grounds.t_ids, restrict_table(inst.demand.values, g.t_all ^ 1 << j))
@@ -819,10 +892,7 @@ def ore_exhaustive_slab(max_nodes: int = 2, max_degree: int = 4) -> tuple[int, l
     checked = 0
     for n_s in range(1, max_nodes + 1):
         for n_t in range(1, max_nodes + 1):
-            grounds = GroundSets(
-                tuple(f"s{i + 1}" for i in range(n_s)),
-                tuple(f"t{j + 1}" for j in range(n_t)),
-            )
+            grounds = _grounds(n_s, n_t)
             cells = [(i, j) for i in range(n_s) for j in range(n_t)]
             for pick in range(1 << len(cells)):
                 host = Bigraph(
@@ -850,8 +920,8 @@ def ore_exhaustive_slab(max_nodes: int = 2, max_degree: int = 4) -> tuple[int, l
 def ryser_prefix_slab(seed: int = ACCEPTANCE_SEED, random_count: int = 300) -> tuple[int, list[str]]:
     """Prefix-versus-full agreement over exhaustive small specs plus seeded (6,6) draws.
 
-    The agreement itself is asserted inside the checker; this drives it over
-    the family and counts successful evaluations.
+    Drives the ``ryser_prefix`` cross-check over the family, realizable
+    degree pairs or not, and counts the specs on which it holds.
     """
     from itertools import product
 
@@ -860,15 +930,10 @@ def ryser_prefix_slab(seed: int = ACCEPTANCE_SEED, random_count: int = 300) -> t
 
     def drive(n_s: int, n_t: int, m_s, m_t, ell: int) -> None:
         nonlocal checked
-        grounds = GroundSets(
-            tuple(f"s{i + 1}" for i in range(n_s)),
-            tuple(f"t{j + 1}" for j in range(n_t)),
-        )
+        grounds = _grounds(n_s, n_t)
         degrees = DegreeSpec(grounds, tuple(m_s), tuple(m_t))
         try:
-            check_ryser(degrees, ell)
-        except PreconditionError:
-            pass  # agreement is asserted before realizability is enforced
+            ryser_prefix(Instance.make(grounds, degrees=degrees, target_rank=ell), None, None)
         except AssertionError as exc:
             problems.append(f"{m_s}/{m_t} ell={ell}: {exc}")
             return
@@ -900,6 +965,10 @@ def ryser_prefix_slab(seed: int = ACCEPTANCE_SEED, random_count: int = 300) -> t
 def acceptance_report(quick: bool = False) -> list[dict]:
     """Run all acceptance criteria; returns one entry per criterion."""
     results: list[dict] = []
+
+    def record(ok: bool, detail: str) -> None:
+        results.append({"criterion": len(results) + 1, "ok": ok, "detail": detail})
+
     count_main = 150 if quick else 1000
     count_ore = 200 if quick else 1500
     count_brualdi = 80 if quick else 500
@@ -912,57 +981,32 @@ def acceptance_report(quick: bool = False) -> list[dict]:
         and c.get("msmt_feasible", 0) > 0
         and c.get("msmt_infeasible", 0) > 0
     )
-    results.append(
-        {
-            "criterion": 1,
-            "ok": ok1,
-            "detail": (
-                f"{count_main} instances, feasible={c.get('msmt_feasible', 0)}, "
-                f"infeasible={c.get('msmt_infeasible', 0)}, "
-                f"discrepancies={main['discrepancy_count']}"
-            ),
-        }
-    )
-    ok2 = main["discrepancy_count"] == 0 and c.get("minmax_checked", 0) > 0
-    results.append(
-        {
-            "criterion": 2,
-            "ok": ok2,
-            "detail": (
-                f"min-max verified on {c.get('minmax_checked', 0)} lifted demands, "
-                f"{c.get('minmax_equals_total', 0)} feasible ones matched the degree total"
-            ),
-        }
-    )
+    record(ok1, (
+        f"{count_main} instances, feasible={c.get('msmt_feasible', 0)}, "
+        f"infeasible={c.get('msmt_infeasible', 0)}, "
+        f"discrepancies={main['discrepancy_count']}"
+    ))
+    record(main["discrepancy_count"] == 0 and c.get("minmax_checked", 0) > 0, (
+        f"min-max verified on {c.get('minmax_checked', 0)} lifted demands, "
+        f"{c.get('minmax_equals_total', 0)} feasible ones matched the degree total"
+    ))
     ok3 = (
         main["discrepancy_count"] == 0
         and c.get("base_lift_classified", 0) == count_main
         and c.get("full_lift_classified", 0) == c.get("msmt_feasible", 0)
     )
-    results.append(
-        {
-            "criterion": 3,
-            "ok": ok3,
-            "detail": (
-                f"base lift classified on {c.get('base_lift_classified', 0)}/{count_main}, "
-                f"full lift on {c.get('full_lift_classified', 0)}/{c.get('msmt_feasible', 0)} feasible"
-            ),
-        }
-    )
+    record(ok3, (
+        f"base lift classified on {c.get('base_lift_classified', 0)}/{count_main}, "
+        f"full lift on {c.get('full_lift_classified', 0)}/{c.get('msmt_feasible', 0)} feasible"
+    ))
 
     ore_checked, ore_problems = ore_exhaustive_slab()
     ore_fuzz = run_fuzz(FuzzConfig(seed=ACCEPTANCE_SEED + 1, count=count_ore, modes=("ore",)))
     ok4 = not ore_problems and ore_fuzz["discrepancy_count"] == 0
-    results.append(
-        {
-            "criterion": 4,
-            "ok": ok4,
-            "detail": (
-                f"exhaustive slab {ore_checked} cases, random {count_ore} instances, "
-                f"problems={len(ore_problems) + ore_fuzz['discrepancy_count']}"
-            ),
-        }
-    )
+    record(ok4, (
+        f"exhaustive slab {ore_checked} cases, random {count_ore} instances, "
+        f"problems={len(ore_problems) + ore_fuzz['discrepancy_count']}"
+    ))
 
     bru = run_fuzz(FuzzConfig(seed=ACCEPTANCE_SEED + 2, count=count_brualdi, modes=("brualdi",)))
     bc = bru["counters"]
@@ -971,17 +1015,11 @@ def acceptance_report(quick: bool = False) -> list[dict]:
         and bc.get("brualdi_feasible", 0) > 0
         and bc.get("brualdi_infeasible", 0) > 0
     )
-    results.append(
-        {
-            "criterion": 5,
-            "ok": ok5,
-            "detail": (
-                f"{count_brualdi} cases, feasible={bc.get('brualdi_feasible', 0)}, "
-                f"infeasible={bc.get('brualdi_infeasible', 0)}, "
-                f"discrepancies={bru['discrepancy_count']}"
-            ),
-        }
-    )
+    record(ok5, (
+        f"{count_brualdi} cases, feasible={bc.get('brualdi_feasible', 0)}, "
+        f"infeasible={bc.get('brualdi_infeasible', 0)}, "
+        f"discrepancies={bru['discrepancy_count']}"
+    ))
 
     red = run_fuzz(
         FuzzConfig(seed=ACCEPTANCE_SEED + 3, count=count_reductions, modes=("reductions",))
@@ -990,16 +1028,10 @@ def acceptance_report(quick: bool = False) -> list[dict]:
         random_count=60 if quick else 300
     )
     ok6 = red["discrepancy_count"] == 0 and not prefix_problems
-    results.append(
-        {
-            "criterion": 6,
-            "ok": ok6,
-            "detail": (
-                f"{count_reductions} reduction cases, prefix agreement on {prefix_checked} specs, "
-                f"problems={red['discrepancy_count'] + len(prefix_problems)}"
-            ),
-        }
-    )
+    record(ok6, (
+        f"{count_reductions} reduction cases, prefix agreement on {prefix_checked} specs, "
+        f"problems={red['discrepancy_count'] + len(prefix_problems)}"
+    ))
 
     witness_total = (
         c.get("witnesses_validated", 0)
@@ -1013,13 +1045,7 @@ def acceptance_report(quick: bool = False) -> list[dict]:
         and red["discrepancy_count"] == 0
         and witness_total > 0
     )
-    results.append(
-        {
-            "criterion": 7,
-            "ok": ok7,
-            "detail": f"{witness_total} witnesses and matchings re-validated independently",
-        }
-    )
+    record(ok7, f"{witness_total} witnesses and matchings re-validated independently")
 
     cert_total = (
         c.get("certs_rechecked", 0)
@@ -1027,12 +1053,6 @@ def acceptance_report(quick: bool = False) -> list[dict]:
         + bc.get("certs_rechecked", 0)
         + red["counters"].get("certs_rechecked", 0)
     )
-    ok8 = ok1 and ok4 and ok5 and ok6 and cert_total > 0
-    results.append(
-        {
-            "criterion": 8,
-            "ok": ok8,
-            "detail": f"{cert_total} certificates recomputed from scratch",
-        }
-    )
+    record(ok1 and ok4 and ok5 and ok6 and cert_total > 0,
+           f"{cert_total} certificates recomputed from scratch")
     return results

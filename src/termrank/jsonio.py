@@ -80,12 +80,13 @@ def matroid_from_descriptor(ground, desc) -> Matroid:
         if not isinstance(caps, list):
             raise InstanceError("partition matroid descriptor caps: must be a list")
         caps = [_parse_int(c, f"partition matroid descriptor caps[{i}]") for i, c in enumerate(caps)]
-        return Matroid.partition(ground, desc["blocks"], caps)
+        blocks = _id_lists(desc["blocks"], "partition matroid descriptor blocks")
+        return Matroid.partition(ground, blocks, caps)
     if kind == "explicit":
         _reject_extra(desc, {"kind", "bases"}, "matroid descriptor")
         if "bases" not in desc:
             raise InstanceError("explicit matroid descriptor needs 'bases'")
-        return Matroid.from_bases(ground, desc["bases"])
+        return Matroid.from_bases(ground, _id_lists(desc["bases"], "explicit matroid descriptor bases"))
     raise InstanceError(f"unknown matroid kind {kind!r}")
 
 
@@ -115,7 +116,7 @@ def setfunction_from_json(data) -> SetFunction:
     _reject_extra(data, {"ground", "values"}, "demand")
     if "ground" not in data or "values" not in data:
         raise InstanceError("demand: needs 'ground' and 'values'")
-    ground = tuple(str(x) for x in data["ground"])
+    ground = _id_list(data["ground"], "demand.ground")
     raw = data["values"]
     if not isinstance(raw, dict):
         raise InstanceError("demand.values: must be an object keyed by subsets")
@@ -146,13 +147,22 @@ def _reject_extra(data: dict, allowed: set[str], path: str) -> None:
         raise InstanceError(f"{path}: unknown fields {sorted(extra)}")
 
 
+def _id_list(raw, field: str) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        raise InstanceError(f"{field}: must be a list of string node ids")
+    return tuple(raw)
+
+
+def _id_lists(raw, field: str) -> list[tuple[str, ...]]:
+    if not isinstance(raw, list):
+        raise InstanceError(f"{field}: must be a list of lists of string node ids")
+    return [_id_list(ids, f"{field}[{i}]") for i, ids in enumerate(raw)]
+
+
 def _parse_ids(data, key: str) -> tuple[str, ...]:
     if key not in data:
         raise InstanceError(f"{key}: missing")
-    raw = data[key]
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise InstanceError(f"{key}: must be a list of string node ids")
-    return tuple(raw)
+    return _id_list(data[key], key)
 
 
 def _parse_degrees(data, key: str, ids: tuple[str, ...]) -> tuple[int, ...]:

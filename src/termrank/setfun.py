@@ -48,10 +48,6 @@ class SetFunction:
     def positive_masks(self) -> tuple[int, ...]:
         return tuple(m for m, v in enumerate(self.values) if v > 0)
 
-    @cached_property
-    def max_value(self) -> int:
-        return max(self.values)
-
 
 def constant(ground, value: int) -> SetFunction:
     ground = tuple(ground)

@@ -337,7 +337,8 @@ def test_cli_mode_override(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# goldens at the ground cap: full CLI output of `check`, wall time dropped
+# goldens at the ground cap: full CLI output of `check` or `solve --route cover`,
+# wall time dropped
 
 CAP_GOLDENS = sorted((Path(__file__).parent / "data").glob("cap_*.json"))
 
@@ -357,4 +358,6 @@ def test_cli_check_cap_goldens(golden_path, tmp_path, capsys):
 def test_cap_goldens_present():
     assert [p.stem for p in CAP_GOLDENS] == [
         "cap_fully_10x2", "cap_rank_r3_10", "cap_ryser_gen_2x10",
+        "cap_solve_brualdi_4x8", "cap_solve_msmt_6x6", "cap_solve_ryser_6x6",
+        "cap_solve_ryser_gen_5x7",
     ]

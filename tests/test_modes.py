@@ -1,8 +1,8 @@
 """Per-mode goldens for the instance schema, the fuzz driver and the CLI error
 paths: the load error for every removed or unexpected field, instance round
 trips in all seven modes, byte-stable fuzz reports (clean and with every
-verdict flipped), strict integer fields, malformed pairs, and the exit code
-of an internal error."""
+verdict flipped), strict integer fields, malformed id lists and pairs, and the
+exit code of an internal error."""
 
 from __future__ import annotations
 
@@ -291,6 +291,38 @@ STRICT_INTEGER_CASES = [
 
 @pytest.mark.parametrize("data,message", STRICT_INTEGER_CASES, ids=[m for _, m in STRICT_INTEGER_CASES])
 def test_strict_integers(tmp_path, capsys, data, message):
+    assert load_error(data) == message
+    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {message}\n")
+
+
+MALFORMED_ID_LIST_CASES = [
+    (
+        with_fields("brualdi", matroid_S={"kind": "partition", "blocks": 5, "caps": [1]}),
+        "partition matroid descriptor blocks: must be a list of lists of string node ids",
+    ),
+    (
+        with_fields("brualdi", matroid_S={"kind": "partition", "blocks": [5], "caps": [1]}),
+        "partition matroid descriptor blocks[0]: must be a list of string node ids",
+    ),
+    (
+        with_fields("ryser_gen", matroid_T={"kind": "explicit", "bases": 5}),
+        "explicit matroid descriptor bases: must be a list of lists of string node ids",
+    ),
+    (
+        with_fields("ryser_gen", matroid_T={"kind": "explicit", "bases": [[["t1"]]]}),
+        "explicit matroid descriptor bases[0]: must be a list of string node ids",
+    ),
+    (
+        with_fields("msmt", demand={**_DEMAND, "ground": 5}),
+        "demand.ground: must be a list of string node ids",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,message", MALFORMED_ID_LIST_CASES, ids=[m for _, m in MALFORMED_ID_LIST_CASES]
+)
+def test_malformed_id_lists_are_input_errors(tmp_path, capsys, data, message):
     assert load_error(data) == message
     assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {message}\n")
 

@@ -18,6 +18,7 @@ from termrank.feasibility import (
     check_fully,
     check_ryser_gen,
     check_ryser_novel,
+    ryser_table,
 )
 from termrank.harness import (
     FuzzConfig,
@@ -70,6 +71,20 @@ def test_transforms_match_pointwise_maxima():
             same = [k for k in range(size) if k & fixed == m & fixed]
             assert sup[m] == max(vals[k] for k in same if k & m == m)
             assert sub[m] == max(vals[k] for k in same if k & m == k)
+
+
+def test_ryser_table_matches_the_pointwise_left_hand_side():
+    rng = random.Random(13)
+    for _ in range(60):
+        grounds = _random_grounds(rng, 4, 4)
+        degrees = _random_degrees(rng, grounds, 3)
+        ell = rng.randint(0, grounds.n_t)
+        table = ryser_table(degrees, ell)
+        for y in range(1 << grounds.n_t):
+            for x in range(1 << grounds.n_s):
+                nx, ny = x.bit_count(), y.bit_count()
+                lhs = degrees.sum_s(x) + degrees.sum_t(y) - nx * ny + ell - nx - ny
+                assert table[x | y << grounds.n_s] == lhs
 
 
 def _idle(inst: Instance) -> Instance:
