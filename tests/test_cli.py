@@ -359,5 +359,6 @@ def test_cap_goldens_present():
     assert [p.stem for p in CAP_GOLDENS] == [
         "cap_fully_10x2", "cap_rank_r3_10", "cap_ryser_gen_2x10",
         "cap_solve_brualdi_4x8", "cap_solve_msmt_6x6", "cap_solve_ryser_6x6",
-        "cap_solve_ryser_gen_5x7",
+        "cap_solve_ryser_6x6_perfect", "cap_solve_ryser_gen_5x7",
+        "cap_solve_ryser_gen_5x7_bnb",
     ]

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from termrank import cover as cover_module
 from termrank.bigraph import (
     Bigraph,
     DegreeSpec,
@@ -17,7 +18,10 @@ from termrank.bigraph import (
 )
 from termrank.cover import (
     ArcCover,
+    DualFamily,
     _max_independent_family,
+    build_via_cover,
+    certified_cover,
     construct_brute,
     construct_via_cover,
     covers,
@@ -35,6 +39,7 @@ from termrank.harness import (
     random_msmt_instance,
     validate_matching,
     validate_witness,
+    verify_msmt,
 )
 from termrank.matroid import Matroid
 from termrank.setfun import (
@@ -43,6 +48,7 @@ from termrank.setfun import (
     constant,
     from_corank,
     full_demand,
+    nonneighbor_set,
     st_independent,
 )
 
@@ -134,6 +140,75 @@ def test_min_cover_of_full_lift_equals_degree_total():
             remaining = cover.arcs[:k] + cover.arcs[k + 1 :]
             assert not covers(remaining, lifted, inst.grounds.n_s)
     assert exercised > 20
+
+
+def lift(inst: Instance) -> SetFunction:
+    base = base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)
+    return full_demand(base, inst.initial, inst.degrees)
+
+
+def test_certified_cover_checks_its_family():
+    g = grounds(2, 2)
+    a = g.v_mask(0b01, 0b01)  # the arc (s2, t1) enters a and b
+    b = g.v_mask(0b01, 0b11)
+    dem = demand_on_v(g, {a: 1, b: 1})
+    with pytest.raises(AssertionError, match="not an independent family"):
+        certified_cover(dem, g.n_s, DualFamily((a, b), 2), None)
+    with pytest.raises(AssertionError, match="not an independent family"):
+        certified_cover(dem, g.n_s, DualFamily((g.v_mask(0b10, 0b10),), 0), None)
+    with pytest.raises(AssertionError, match="value does not match its sets"):
+        certified_cover(dem, g.n_s, DualFamily((a,), 2), None)
+    assert certified_cover(dem, g.n_s, DualFamily((a,), 1), None).arcs == ((1, 0),)
+
+
+def test_certified_cover_asserts_the_min_max_identity():
+    # independent sets {s1, t1} and {s2, t2}: no arc enters both, so every
+    # cover has two arcs and a family holding one of them is too small
+    g = grounds(2, 2)
+    a, c = g.v_mask(0b01, 0b01), g.v_mask(0b10, 0b10)
+    dem = demand_on_v(g, {a: 1, c: 1})
+    with pytest.raises(AssertionError, match="min-max identity failed: cover 2 vs independent family 1"):
+        certified_cover(dem, g.n_s, DualFamily((a,), 1), None)
+    assert certified_cover(dem, g.n_s, DualFamily((a, c), 2), None).size == 2
+
+
+def test_meter_family_gives_the_exhaustive_cover():
+    rng = random.Random(52)
+    exercised = searched = 0
+    for _ in range(120):
+        inst = random_msmt_instance(rng, FuzzConfig(max_s=4, max_t=4))
+        if check_msmt(inst) is not None:
+            continue
+        exercised += 1
+        g, lifted = inst.grounds, lift(inst)
+        meters = [nonneighbor_set(inst.initial, i) for i in range(g.n_s) if inst.degrees.m_s[i]]
+        assert st_independent(meters, g)
+        assert sum(lifted.value(m) for m in meters) == inst.degrees.gamma
+        meter_stats, exhaustive_stats = {}, {}
+        built = build_via_cover(inst, meter_stats)
+        cover, dual = min_arc_cover(lifted, g.n_s, exhaustive_stats)
+        assert built.edges == Bigraph(g, cover.arcs).edges
+        assert meter_stats == exhaustive_stats
+        assert dual.value == inst.degrees.gamma
+        searched += meter_stats.get("cover_greedy", 0) > cover.size
+    assert exercised > 40 and searched > 0
+
+
+def test_fuzz_harness_reports_a_broken_certificate(monkeypatch):
+    exhaustive = cover_module._max_independent_family
+
+    def overstated(*args):
+        value, sets = exhaustive(*args)
+        return value + 1, sets
+
+    monkeypatch.setattr(cover_module, "_max_independent_family", overstated)
+    rng = random.Random(52)
+    reported = 0
+    for _ in range(30):
+        inst = random_msmt_instance(rng, FuzzConfig(max_s=3, max_t=3))
+        problems = verify_msmt(inst, {})
+        reported += "certifying family value does not match its sets" in problems
+    assert reported > 0
 
 
 def test_construct_via_cover_perfect_matching_case():

@@ -80,8 +80,23 @@ def test_solve_term_rank_builds_without_brute_force_or_a_second_decision(monkeyp
 
 @pytest.mark.parametrize("mode", ["msmt", "fully", "ore", "ryser", "ryser_gen"])
 def test_cli_solve_by_cover_decides_once(tmp_path, capsys, monkeypatch, mode):
-    forbid(monkeypatch, cover, "check_msmt")
+    # the meter family certifies the cover, so the exhaustive dual is not searched either
+    forbid(monkeypatch, cover, "check_msmt", "_max_independent_family")
     assert run_cli(tmp_path, capsys, ["solve", "--route", "cover"], body(mode)) == (0, "")
+
+
+def test_msmt_fuzz_cases_decide_once(monkeypatch):
+    calls: list[str] = []
+    for module in (harness, cover):
+        def counted(*args, _module=module.__name__, _fn=module.check_msmt, **kwargs):
+            calls.append(_module)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_msmt", counted)
+    report = harness.run_fuzz(harness.FuzzConfig(seed=3, count=60, modes=("msmt",)))
+    assert report["discrepancy_count"] == 0
+    assert report["counters"]["msmt_feasible"] > 0 and report["counters"]["msmt_infeasible"] > 0
+    assert calls == ["termrank.harness"] * report["counters"]["instances_msmt"]
 
 
 # ---------------------------------------------------------------------------
