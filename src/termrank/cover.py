@@ -2,13 +2,16 @@
 demand-lift construction of a witness graph, an independent brute-force
 constructor, and matchings covering matroid bases.
 
-The arc-cover search is exact branch-and-bound; its optimality certificate is
-an independent family (the exhaustive maximum in ``min_arc_cover``, the meter
-family in ``build_via_cover``) whose total is asserted equal to the cover's
-size on every call.  The builders decide nothing twice:
-a caller that has already decided an instance builds it with
+The arc-cover search is exact branch-and-bound with a node budget; its
+optimality certificate is an independent family (the exhaustive maximum in
+``min_arc_cover``, the meter family in ``build_via_cover``) whose total is
+asserted equal to the cover's size on every call.  The builders decide
+nothing twice: a caller that has already decided an instance builds it with
 ``build_via_cover``, and comparing a decision with the brute-force
-constructor is the harness's ``brute_witness`` cross-check.
+constructor is the harness's ``brute_witness`` cross-check.  Likewise the
+lift's crossing supermodularity, the hypothesis under which a cover of the
+degree total exists, is the harness's ``lift_crossing`` cross-check; the
+builders scan it only when a search or a postcondition fails.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bigraph import Bigraph, bits, fits, graph_union, union_table
-from .errors import InstanceError, InfeasibleError, PreconditionError
+from .errors import InstanceError, InfeasibleError, PreconditionError, TermrankError
 from .feasibility import (
     Instance,
     ViolationCert,
@@ -34,6 +37,12 @@ from .setfun import (
     nonneighbor_set,
     st_independent_pair,
 )
+
+
+# Branch-and-bound nodes one ``certified_cover`` search may visit: over 100
+# times the largest search measured at the ground cap (3,245 nodes), so a lift
+# that breaks the covering lemma fails in seconds, not by exhaustive search.
+COVER_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -144,21 +153,25 @@ def _max_independent_family(
     return value[full], tuple(fam)
 
 
-def _require_coverable(demand: SetFunction, n_s: int) -> tuple[int, int]:
-    """Check the cover preconditions; return the S bits and the shifted T bits."""
+def _require_enterable(demand: SetFunction, n_s: int) -> tuple[int, int]:
+    """The cheap cover guard: both classes present, an arc enters every positive set."""
     if n_s <= 0 or demand.n <= n_s:
         raise InstanceError("demand ground must contain both classes")
-    violation = classify_supermodular(demand, "st_crossing", positively=True, n_s=n_s)
-    if violation is not None:
-        raise PreconditionError(
-            f"demand is not positively crossing supermodular: masks {violation.x}, {violation.y}"
-        )
     s_all = (1 << n_s) - 1
     t_upper = ((1 << demand.n) - 1) ^ s_all
     for mask in demand.positive_masks:
         if mask & t_upper == 0 or s_all & ~mask == 0:
             raise PreconditionError(f"demand is positive on a set no arc enters (mask {mask})")
     return s_all, t_upper
+
+
+def _require_crossing(demand: SetFunction, n_s: int) -> None:
+    """The covering lemma's hypothesis, by a scan over every pair of positive sets."""
+    violation = classify_supermodular(demand, "st_crossing", positively=True, n_s=n_s)
+    if violation is not None:
+        raise PreconditionError(
+            f"demand is not positively crossing supermodular: masks {violation.x}, {violation.y}"
+        )
 
 
 def min_arc_cover(
@@ -169,9 +182,10 @@ def min_arc_cover(
     Requires the demand to be positively crossing supermodular and to vanish
     (or be negative) on sets no arc can enter.  Returns the cover together
     with the exhaustive maximum-value independent family that certifies it
-    in ``certified_cover``.
+    in ``certified_cover``.  The demand is arbitrary, so both are checked.
     """
-    s_all, t_upper = _require_coverable(demand, n_s)
+    s_all, t_upper = _require_enterable(demand, n_s)
+    _require_crossing(demand, n_s)
     positive = demand.positive_masks
     weights = [demand.values[m] for m in positive]
     value, sets = _max_independent_family(list(positive), weights, s_all, t_upper)
@@ -182,12 +196,13 @@ def min_arc_cover(
 def certified_cover(
     demand: SetFunction, n_s: int, family: DualFamily, stats: dict | None
 ) -> ArcCover:
-    """Minimum arc cover of a demand that passed ``_require_coverable``.
+    """Minimum arc cover of a demand that passed ``_require_enterable``.
 
     ``family`` is checked to be an independent family of positive sets worth
     its stated value, a lower bound on every cover.  The search stops at a
     cover of that size, prunes with the family's residual demand, and
-    asserts the min-max identity: the cover's size equals the value.
+    asserts the min-max identity: the cover's size equals the value.  It
+    raises ``TermrankError`` past ``COVER_NODE_BUDGET`` nodes.
     """
     n_t = demand.n - n_s
     s_all = (1 << n_s) - 1
@@ -204,14 +219,14 @@ def certified_cover(
     if not positive:
         return ArcCover(())
 
+    # has[b]: the positive sets holding ground bit b, as a bitmask over their
+    # indices; arc (i, j) enters the sets holding n_s + j but not i
+    has = [0] * demand.n
+    for idx, m in enumerate(positive):
+        for b in bits(m):
+            has[b] |= 1 << idx
     arcs = [(i, j) for i in range(n_s) for j in range(n_t)]
-    arc_covers = []
-    for arc in arcs:
-        mask_bits = 0
-        for idx, m in enumerate(positive):
-            if arc_enters(arc, m, n_s):
-                mask_bits |= 1 << idx
-        arc_covers.append(mask_bits)
+    arc_covers = [has[n_s + j] & ~has[i] for i, j in arcs]
     arc_sets = [tuple(bits(c)) for c in arc_covers]  # the sets each arc enters
 
     dual_idx = [positive.index(m) for m in sets]
@@ -266,8 +281,16 @@ def certified_cover(
             fam_total = sum(max(residual[i], 0) for i in dual_idx)
             return max(max(residual), fam_total)
 
+        nodes = 0
+
         def dfs() -> None:
-            nonlocal best_cover, best_size
+            nonlocal best_cover, best_size, nodes
+            nodes += 1
+            if nodes > COVER_NODE_BUDGET:
+                raise TermrankError(
+                    f"cover search exceeded its budget of {COVER_NODE_BUDGET:,} "
+                    "branch-and-bound nodes"
+                )
             if best_size == dual_value:
                 return
             if not deficient:
@@ -330,23 +353,38 @@ def build_via_cover(inst: Instance, stats: dict | None) -> Bigraph:
     """Build a witness graph by lifting the demand and covering it minimally.
 
     The instance must pass the augmentation condition; this is not checked
-    again.  The cover is certified by the meter family, the non-neighbour
-    sets of the left nodes of positive degree: no arc enters two of them,
-    and their lifted values sum to the degree total.  The underlying graph
-    of a minimum cover fits the degree prescription, is edge-disjoint from
-    the initial graph, and covers the demand; the cover's min-max identity
-    and all three properties are asserted, with a greedy re-minimalization
-    retry before giving up.
+    again.  The lift goes to ``build_from_lift``.
     """
     lifted = full_demand(
         base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s),
         inst.initial,
         inst.degrees,
     )
+    return build_from_lift(inst, lifted, stats)
+
+
+def build_from_lift(inst: Instance, lifted: SetFunction, stats: dict | None) -> Bigraph:
+    """Build a witness graph from the lifted demand of a feasible instance.
+
+    The lift is then positively crossing supermodular, so a cover of the
+    degree total exists (Frank and Jordan's min-max theorem).  That scan is
+    the harness's ``lift_crossing`` cross-check; here it runs only when the
+    search or the postconditions fail, to name the pair breaking the lemma.
+    The cover is certified by the meter family, the non-neighbour sets of
+    the left nodes of positive degree: no arc enters two of them, and their
+    lifted values sum to the degree total.  The graph of a minimum cover
+    fits the degrees, avoids the initial edges and covers the demand; the
+    min-max identity and all three properties are asserted, with a greedy
+    re-minimalization retry before giving up.
+    """
     n_s = inst.grounds.n_s
-    _require_coverable(lifted, n_s)
+    _require_enterable(lifted, n_s)
     meters = tuple(nonneighbor_set(inst.initial, i) for i in range(n_s) if inst.degrees.m_s[i])
-    cover = certified_cover(lifted, n_s, DualFamily(meters, inst.degrees.gamma), stats)
+    try:
+        cover = certified_cover(lifted, n_s, DualFamily(meters, inst.degrees.gamma), stats)
+    except (AssertionError, TermrankError):
+        _require_crossing(lifted, n_s)
+        raise
     graph = Bigraph(inst.grounds, cover.arcs)
 
     def post_ok(g: Bigraph) -> bool:
@@ -363,6 +401,7 @@ def build_via_cover(inst: Instance, stats: dict | None) -> Bigraph:
         arcs = minimalize_cover(cover.arcs, lifted, inst.grounds.n_s)
         graph = Bigraph(inst.grounds, arcs)
         if not post_ok(graph):
+            _require_crossing(lifted, n_s)
             raise AssertionError("cover-route witness violates its postconditions")
     return graph
 

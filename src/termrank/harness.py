@@ -5,8 +5,9 @@ the test suite and the CLI self-test.
 
 The decision procedures compute each verdict once.  The identities between
 two forms of a decision are the named cross-checks in ``CROSSCHECKS``; the
-CLI runs them after its decisions, and the bundles, the prefix slab and the
-self-test call them too.  Every bundle asserts an identity the package is
+CLI runs them after its decisions (all but ``lift_crossing``, which its cover
+builder scans only when a search fails), and the bundles, the prefix slab and
+the self-test call them too.  Every bundle asserts an identity the package is
 built around (the decision procedure agrees with exhaustive construction,
 the minimum cover equals the maximum independent family, the reduction forms
 agree) and reports any deviation as a discrepancy with a reproducer instance
@@ -31,7 +32,7 @@ from .bigraph import (
     union_table,
 )
 from .cover import (
-    build_via_cover,
+    build_from_lift,
     construct_brute,
     find_matching_covering_bases,
     min_arc_cover,
@@ -416,6 +417,20 @@ def integrated_split(inst: Instance, result, stats: dict | None) -> None:
         raise AssertionError("integrated form disagrees with the two-condition split")
 
 
+def lift_crossing(inst: Instance, lifted: SetFunction, stats: dict | None) -> None:
+    """A feasible instance's lift is positively crossing supermodular.
+
+    Takes the lift in place of a decision's result, on feasible instances
+    only: the covering lemma's hypothesis, which the cover route assumes.
+    """
+    violation = classify_supermodular(lifted, "st_crossing", positively=True, n_s=inst.grounds.n_s)
+    if violation is not None:
+        raise AssertionError(
+            "lift of a feasible instance is not positively crossing supermodular: "
+            f"masks {violation.x}, {violation.y}"
+        )
+
+
 def brute_witness(inst: Instance, result, stats: dict | None) -> None:
     """``construct_brute`` finds a witness whenever the term-rank decision passes."""
     if isinstance(result, ViolationCert):
@@ -430,6 +445,7 @@ CROSSCHECKS = {
     "ryser_gen_lift": ryser_gen_lift,
     "integrated_split": integrated_split,
     "brute_witness": brute_witness,
+    "lift_crossing": lift_crossing,
 }
 # the identities behind a solve_term_rank answer: it decides by
 # check_ryser_gen and then builds
@@ -457,6 +473,8 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
     if fault is not None:
         feasible = fault("msmt_checker", feasible)
     _bump(counters, "msmt_feasible" if feasible else "msmt_infeasible")
+    base = base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)
+    lifted = full_demand(base, inst.initial, inst.degrees)
 
     brute = construct_brute(inst)
     if feasible != (brute is not None):
@@ -467,27 +485,25 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
     cover_feasible = cert is None
     try:
         if cover_feasible:
-            built = build_via_cover(inst, None)
-    except (PreconditionError, AssertionError) as exc:
+            built = build_from_lift(inst, lifted, None)
+    except (TermrankError, AssertionError) as exc:
         problems.append(f"cover route failed internally: {exc}")
         cover_feasible = None
     if cover_feasible is not None and feasible != cover_feasible:
         problems.append(f"checker says {feasible} but cover route says {cover_feasible}")
 
-    base = base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)
     if classify_supermodular(base, "t_intersecting", positively=True, n_s=g.n_s) is not None:
         problems.append("lifted base demand fails the meeting-pairs classification")
     else:
         _bump(counters, "base_lift_classified")
-    lifted = full_demand(base, inst.initial, inst.degrees)
-    lifted_ok = (
-        classify_supermodular(lifted, "st_crossing", positively=True, n_s=g.n_s) is None
-    )
+    crossing = False  # unless classified here, min_arc_cover's precondition decides
     if feasible:
-        if not lifted_ok:
-            problems.append("full lifted demand fails the crossing classification despite feasibility")
-        else:
+        try:
+            lift_crossing(inst, lifted, None)
+            crossing = True
             _bump(counters, "full_lift_classified")
+        except AssertionError:
+            problems.append("full lifted demand fails the crossing classification despite feasibility")
         g0 = inst.complement
         for i in range(g.n_s):
             if inst.degrees.m_s[i] > g0.s_degree(i):
@@ -507,7 +523,7 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
     coverable = all(
         mask >> g.n_s != 0 and g.s_all & ~mask for mask in lifted.positive_masks
     )
-    if lifted_ok and coverable:
+    if coverable:
         try:
             cover, _dual = min_arc_cover(lifted, g.n_s)
             _bump(counters, "minmax_checked")
@@ -523,7 +539,8 @@ def verify_msmt(inst: Instance, counters: dict, fault=None) -> list[str]:
         except AssertionError as exc:
             problems.append(str(exc))
         except PreconditionError as exc:
-            problems.append(f"cover preconditions failed after classification: {exc}")
+            if crossing:
+                problems.append(f"cover preconditions failed after classification: {exc}")
 
     for witness in (built, brute):
         if witness is not None:
@@ -707,6 +724,11 @@ def solve_term_rank_checked(inst: Instance, counters: dict, problems: list[str])
     try:
         result = solve_term_rank(inst)
         crosscheck(TERM_RANK_CROSSCHECKS, inst, result, None)
+        if not isinstance(result, ViolationCert):
+            # the solver built its witness from this lift without scanning it
+            work = corank_instance(inst)
+            base = base_demand(work.initial, work.degrees, work.demand, work.matroid_s)
+            lift_crossing(work, full_demand(base, work.initial, work.degrees), None)
     except AssertionError as exc:
         problems.append(f"solver internal cross-check failed: {exc}")
         return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .bigraph import Bigraph, DegreeSpec, GroundSets, locally_supermodular, union_table
 from .errors import InstanceError
@@ -27,7 +28,7 @@ class SetFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "ground", tuple(str(x) for x in self.ground))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
         if len(set(self.ground)) != len(self.ground):
             raise InstanceError("set function ground elements must be distinct")
         if len(self.values) != 1 << len(self.ground):
@@ -181,6 +182,18 @@ def _require_demand_shape(h0: Bigraph, demand: SetFunction, matroid_s: Matroid) 
         raise InstanceError("the initial graph must be simple")
 
 
+def _slack_rows(h0: Bigraph, demand: SetFunction, matroid_s: Matroid) -> list[list[int]]:
+    """Row t, entry x: ``demand(t) - rank(x)`` if mask ``x | t << n_s`` is closed, else 0.
+
+    The set is in the closed family when x holds every initial neighbour of t.
+    """
+    rank = matroid_s.rank
+    return [
+        [d - r if x & need == need else 0 for x, r in enumerate(rank)]
+        for need, d in zip(union_table(h0.t_adj), demand.values)
+    ]
+
+
 def base_demand(
     h0: Bigraph, spec: DegreeSpec, demand: SetFunction, matroid_s: Matroid
 ) -> SetFunction:
@@ -197,21 +210,15 @@ def base_demand(
     if spec.grounds != h0.grounds:
         raise InstanceError("degree specification lives on different ground sets")
     g = h0.grounds
-    closed = closed_family(h0)
-    vals = [0] * (1 << g.n_v)
-    for v_mask in range(1 << g.n_v):
-        if not closed[v_mask]:
-            continue
-        s_part, t_part = g.split(v_mask)
-        if t_part == 0:
-            continue
-        value = demand.values[t_part] - matroid_s.rank[s_part]
-        if t_part & (t_part - 1) == 0:  # single right node
-            j = t_part.bit_length() - 1
-            degree_slack = spec.m_t[j] - s_part.bit_count() + h0.t_degree(j)
-            value = max(value, degree_slack)
-        vals[v_mask] = value
-    return SetFunction(g.s_ids + g.t_ids, tuple(vals))
+    rows = _slack_rows(h0, demand, matroid_s)
+    rows[0] = [0] * (1 << g.n_s)
+    for j, need in enumerate(h0.t_adj):
+        degree_slack = spec.m_t[j] + h0.t_degree(j)
+        rows[1 << j] = [
+            max(v, degree_slack - x.bit_count()) if x & need == need else 0
+            for x, v in enumerate(rows[1 << j])
+        ]
+    return SetFunction(g.s_ids + g.t_ids, tuple(chain.from_iterable(rows)))
 
 
 def base_demand_source_only(
@@ -224,14 +231,8 @@ def base_demand_source_only(
     """
     _require_demand_shape(h0, demand, matroid_s)
     g = h0.grounds
-    closed = closed_family(h0)
-    vals = [0] * (1 << g.n_v)
-    for v_mask in range(1 << g.n_v):
-        if not closed[v_mask]:
-            continue
-        s_part, t_part = g.split(v_mask)
-        vals[v_mask] = demand.values[t_part] - matroid_s.rank[s_part]
-    return SetFunction(g.s_ids + g.t_ids, tuple(vals))
+    rows = _slack_rows(h0, demand, matroid_s)
+    return SetFunction(g.s_ids + g.t_ids, tuple(chain.from_iterable(rows)))
 
 
 def full_demand(base: SetFunction, h0: Bigraph, spec: DegreeSpec) -> SetFunction:

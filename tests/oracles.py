@@ -108,6 +108,39 @@ def naive_source_only_lift(h0_edges, n_s, n_t, demand_of, rank_of):
     return result
 
 
+def _closed_mask_slack(h0, demand, matroid_s):
+    """(S-part, T-part, slack) of every full-ground mask no initial arc enters, mask by mask."""
+    g = h0.grounds
+    out = {}
+    for v_mask in range(1 << g.n_v):
+        s_part, t_part = v_mask & g.s_all, v_mask >> g.n_s
+        if all(s_part >> s & 1 for s, t in h0.edges if t_part >> t & 1):
+            out[v_mask] = (s_part, t_part, demand.values[t_part] - matroid_s.rank[s_part])
+    return out
+
+
+def literal_base_demand(h0, spec, demand, matroid_s) -> tuple[int, ...]:
+    """``base_demand``'s values, one full-ground mask at a time."""
+    vals = [0] * (1 << h0.grounds.n_v)
+    for v_mask, (s_part, t_part, value) in _closed_mask_slack(h0, demand, matroid_s).items():
+        if t_part == 0:
+            continue
+        if t_part & (t_part - 1) == 0:  # single right node
+            j = t_part.bit_length() - 1
+            degree_slack = spec.m_t[j] - s_part.bit_count() + h0.t_degree(j)
+            value = max(value, degree_slack)
+        vals[v_mask] = value
+    return tuple(vals)
+
+
+def literal_base_demand_source_only(h0, demand, matroid_s) -> tuple[int, ...]:
+    """``base_demand_source_only``'s values, one full-ground mask at a time."""
+    vals = [0] * (1 << h0.grounds.n_v)
+    for v_mask, (_, _, value) in _closed_mask_slack(h0, demand, matroid_s).items():
+        vals[v_mask] = value
+    return tuple(vals)
+
+
 def naive_subgraph_exists(
     host_edges, m_s, m_t, *, n_t=None, h0_edges=(), demand_of=None, rank_of=None
 ):

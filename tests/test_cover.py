@@ -3,7 +3,9 @@ basis-covering matchings."""
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,7 @@ from termrank.setfun import (
 )
 
 from .oracles import is_matching
+from .test_modes import body, run_cli
 
 
 def grounds(n_s, n_t):
@@ -192,6 +195,32 @@ def test_meter_family_gives_the_exhaustive_cover():
         assert dual.value == inst.degrees.gamma
         searched += meter_stats.get("cover_greedy", 0) > cover.size
     assert exercised > 40 and searched > 0
+
+
+def test_cli_names_a_broken_lift_by_its_pair(tmp_path, capsys, monkeypatch):
+    # {t1, t2} raised above the degree total: no cover of that size exists,
+    # and the lift is no longer positively crossing supermodular
+    real = full_demand
+
+    def broken(base, h0, spec):
+        lifted = real(base, h0, spec)
+        return SetFunction(lifted.ground, lifted.values[:12] + (3,) + lifted.values[13:])
+
+    monkeypatch.setattr(cover_module, "full_demand", broken)
+    assert run_cli(tmp_path, capsys, ["solve", "--route", "cover"], body("msmt")) == (
+        2, "error: demand is not positively crossing supermodular: masks 5, 12\n"
+    )
+
+
+def test_cover_search_stops_at_its_node_budget(tmp_path, capsys, monkeypatch):
+    # greedy takes 13 arcs, the optimum 12, so the branch-and-bound runs
+    golden_path = Path(__file__).parent / "data" / "cap_solve_ryser_gen_5x7_bnb.json"
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    assert run_cli(tmp_path, capsys, golden["argv"], golden["instance"]) == (0, "")
+    monkeypatch.setattr(cover_module, "COVER_NODE_BUDGET", 10)
+    assert run_cli(tmp_path, capsys, golden["argv"], golden["instance"]) == (
+        2, "error: cover search exceeded its budget of 10 branch-and-bound nodes\n"
+    )
 
 
 def test_fuzz_harness_reports_a_broken_certificate(monkeypatch):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from termrank import cli, cover, feasibility, harness
+from termrank import cli, cover, feasibility, harness, setfun
 from termrank.bigraph import Bigraph, DegreeSpec, GroundSets
 from termrank.cover import solve_term_rank
 from termrank.feasibility import (
@@ -18,6 +18,7 @@ from termrank.feasibility import (
     check_ryser_gen,
     ryser_table,
 )
+from termrank.jsonio import load_instance
 from termrank.matroid import Matroid
 
 from .test_modes import body, run_cli
@@ -97,6 +98,61 @@ def test_msmt_fuzz_cases_decide_once(monkeypatch):
     assert report["discrepancy_count"] == 0
     assert report["counters"]["msmt_feasible"] > 0 and report["counters"]["msmt_infeasible"] > 0
     assert calls == ["termrank.harness"] * report["counters"]["instances_msmt"]
+
+
+def record_classifications(monkeypatch) -> list[tuple[str, str]]:
+    """(calling module, mode) of every supermodularity classification."""
+    calls: list[tuple[str, str]] = []
+    real = setfun.classify_supermodular
+    for module in (cover, feasibility, harness):
+        def recorded(p, mode, *args, _module=module.__name__, **kwargs):
+            calls.append((_module, mode))
+            return real(p, mode, *args, **kwargs)
+
+        monkeypatch.setattr(module, "classify_supermodular", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["msmt", "fully", "ore", "ryser", "ryser_gen"])
+def test_cli_solve_by_cover_scans_no_lift(tmp_path, capsys, monkeypatch, mode):
+    # the lift's crossing classification is the harness's lift_crossing; the
+    # CLI runs it only when a search fails
+    calls = record_classifications(monkeypatch)
+    assert run_cli(tmp_path, capsys, ["solve", "--route", "cover"], body(mode)) == (0, "")
+    assert [c for c in calls if c[1] == "st_crossing"] == []
+
+
+def test_msmt_fuzz_cases_lift_once(monkeypatch):
+    calls = record_classifications(monkeypatch)
+    lifts: list[tuple[str, str]] = []
+    for module in (harness, cover):
+        for name in ("base_demand", "full_demand"):
+            def counted(*args, _key=(module.__name__, name), _fn=getattr(module, name)):
+                lifts.append(_key)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    covers: list[int] = []
+    real_cover = harness.min_arc_cover
+
+    def counted_cover(*args):
+        covers.append(1)
+        return real_cover(*args)
+
+    monkeypatch.setattr(harness, "min_arc_cover", counted_cover)
+    report = harness.run_fuzz(harness.FuzzConfig(seed=3, count=60, modes=("msmt",)))
+    c = report["counters"]
+    assert report["discrepancy_count"] == 0 and c["msmt_feasible"] > 0 and covers
+    # one lift per instance, built by the harness and handed to the builder
+    assert sorted(lifts) == sorted(
+        [("termrank.harness", "base_demand"), ("termrank.harness", "full_demand")]
+        * c["instances_msmt"]
+    )
+    # lift_crossing on each feasible case, plus min_arc_cover's own precondition
+    crossing = [module for module, mode in calls if mode == "st_crossing"]
+    assert crossing.count("termrank.harness") == c["msmt_feasible"] == c["full_lift_classified"]
+    assert crossing.count("termrank.cover") == len(covers)
+    assert len(crossing) == c["msmt_feasible"] + len(covers)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +246,29 @@ def test_integrated_split_catches_a_broken_side(monkeypatch):
         harness.integrated_split(inst, check_integrated(FEASIBLE, inst.matroid_s, inst.matroid_t), None)
 
 
+def test_lift_crossing_catches_a_broken_side(monkeypatch):
+    _mode, inst = load_instance(body("msmt"))
+    base = setfun.base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)
+    lifted = setfun.full_demand(base, inst.initial, inst.degrees)
+    harness.lift_crossing(inst, lifted, None)
+    # {t1, t2} raised to 3 crosses {s1, t1} (mask 5) and breaks the inequality there
+    broken = setfun.SetFunction(lifted.ground, lifted.values[:12] + (3,) + lifted.values[13:])
+    with pytest.raises(
+        AssertionError,
+        match="^lift of a feasible instance is not positively crossing supermodular: masks 5, 12$",
+    ):
+        harness.lift_crossing(inst, broken, None)
+    assert harness.verify_msmt(inst, {}) == []
+    monkeypatch.setattr(harness, "full_demand", lambda *args: broken)
+    assert "full lifted demand fails the crossing classification despite feasibility" in (
+        harness.verify_msmt(inst, {})
+    )
+
+
 def test_cross_check_table_names_the_five_identities():
     assert list(harness.CROSSCHECKS) == [
         "ryser_prefix", "brualdi_forms", "ryser_gen_lift", "integrated_split", "brute_witness",
+        "lift_crossing",
     ]
     assert harness.TERM_RANK_CROSSCHECKS == ("ryser_gen_lift", "brute_witness")
 

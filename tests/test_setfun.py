@@ -24,9 +24,22 @@ from termrank.setfun import (
     st_independent,
     truncate_nonneg,
 )
-from termrank.harness import FuzzConfig, random_msmt_instance
+from termrank.harness import (
+    FuzzConfig,
+    _random_degrees,
+    _random_demand,
+    _random_initial,
+    _random_matroid,
+    random_msmt_instance,
+)
 
-from .oracles import naive_base_lift, naive_source_only_lift, rank_over_names
+from .oracles import (
+    literal_base_demand,
+    literal_base_demand_source_only,
+    naive_base_lift,
+    naive_source_only_lift,
+    rank_over_names,
+)
 
 
 def grounds22():
@@ -215,6 +228,21 @@ def test_source_only_lift_matches_naive():
         for (s_sub, t_sub), want in naive.items():
             v_mask = g.v_mask(sum(1 << i for i in s_sub), sum(1 << j for j in t_sub))
             assert lift.value(v_mask) == want
+
+
+@pytest.mark.parametrize("n_s, n_t", [(6, 6), (2, 10), (10, 2)])
+def test_row_wise_lifts_equal_the_per_mask_forms_at_the_cap(n_s, n_t):
+    rng = random.Random(26 + n_s)
+    g = GroundSets(tuple(f"s{i}" for i in range(n_s)), tuple(f"t{j}" for j in range(n_t)))
+    for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+        h0 = _random_initial(rng, g, density)
+        spec = _random_degrees(rng, g, 3)
+        ms = _random_matroid(rng, g.s_ids)
+        dem, _fully = _random_demand(rng, g.t_ids)
+        assert base_demand(h0, spec, dem, ms).values == literal_base_demand(h0, spec, dem, ms)
+        assert base_demand_source_only(h0, dem, ms).values == literal_base_demand_source_only(
+            h0, dem, ms
+        )
 
 
 def test_source_only_lift_simple_cases():
