@@ -13,17 +13,18 @@ Nested families fold their inner sets into such a table with a superset- or
 subset-max transform (Bjorklund, Husfeldt, Kaski and Koivisto, *Fourier meets
 Mobius*, STOC 2007), so every inequality still counts through the maxima;
 only a violated family re-enumerates its inner sets, for the first attaining
-pair alone, to name the certificate.  The part-family packings of the general
-condition are still enumerated one by one.
+pair alone, to name the certificate.  The packings of disjoint right parts in
+the general condition fold in the same way, by a lowest-bit subset DP that
+also counts them (``_packing_tables``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, mul, or_
+from typing import Iterable
 
 from .bigraph import (
     Bigraph,
@@ -146,74 +147,6 @@ class Instance:
         return True
 
 
-def set_partitions(mask: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of the bits of ``mask`` into non-empty blocks.
-
-    Generated by restricted growth: each element joins the existing blocks in
-    order before opening a new one, so the order is deterministic.
-    """
-    elems = list(bits(mask))
-    if not elems:
-        yield ()
-        return
-
-    blocks: list[int] = []
-
-    def rec(idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(elems):
-            yield tuple(blocks)
-            return
-        bit = 1 << elems[idx]
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            yield from rec(idx + 1)
-            blocks[i] ^= bit
-        blocks.append(bit)
-        yield from rec(idx + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
-def subpartitions(mask: int) -> Iterator[tuple[int, ...]]:
-    """All families of non-empty pairwise disjoint blocks inside ``mask``.
-
-    The empty family comes first; then partitions of every submask ascending.
-    """
-    for sub in submasks(mask):
-        yield from set_partitions(sub)
-
-
-def _packings(
-    parts: list[int], gains: dict[int, int], avail: int, start: int = 0
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Disjoint families drawn from ``parts`` inside ``avail``, with totals.
-
-    Only parts with strictly positive gain are ever offered, which is sound
-    for maximization: dropping a non-positive part never lowers the total.
-    """
-    yield (), 0
-    for idx in range(start, len(parts)):
-        p = parts[idx]
-        if p & ~avail:
-            continue
-        for rest, total in _packings(parts, gains, avail & ~p, idx + 1):
-            yield (p,) + rest, gains[p] + total
-
-
-class _Max:
-    __slots__ = ("lhs", "payload")
-
-    def __init__(self):
-        self.lhs: int | None = None
-        self.payload = None
-
-    def offer(self, lhs: int, payload) -> None:
-        if self.lhs is None or lhs > self.lhs:
-            self.lhs = lhs
-            self.payload = payload
-
-
 # Stands for an excluded table entry; far below any left-hand side.
 _NEG = -(1 << 62)
 
@@ -311,25 +244,73 @@ def check_ore(g0: Bigraph, degrees: DegreeSpec, stats: dict | None = None) -> Vi
     return _flat_cert("ore", _ore_table(g0, degrees), degrees, stats)
 
 
-def _useful_parts_by_x(
-    inst: Instance, nbr0: list[int]
-) -> tuple[list[list[int]], list[dict[int, int]]]:
+def _packing_tables(inst: Instance) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Families of pairwise disjoint right parts of every left set, by subset DP.
+
+    Returns ``gain``, flat over ``x | p << n_s`` with dem(p) - r(x + N0(p)),
+    and ``best`` and ``count``: for every T-mask a, a list over S-masks x of
+    the largest total and the number of packings inside a.  Only parts of
+    positive gain are packed, which is sound for maximization: dropping a
+    non-positive part never lowers the total.
+
+    A packing inside a either leaves a's lowest node uncovered or holds the
+    one part p through it, beside a packing inside a - p.  So over the
+    submasks a of the union of the positive parts, ascending, and for every
+    x at once: best[a] = max(best[a - low], max_p gain[p] + best[a - p]),
+    and ``count`` likewise with sums over the x that p helps.  A part that
+    does not help x cannot raise x's maximum, as best[a - p] <= best[a - low].
+    No part reaches past the union, so ``a & union`` stands for any T-mask a.
+    """
     g = inst.grounds
     rank = inst.matroid_s.rank
-    dem = inst.demand.values
-    parts_by_x: list[list[int]] = []
-    gains_by_x: list[dict[int, int]] = []
-    for x in range(1 << g.n_s):
-        parts: list[int] = []
-        gains: dict[int, int] = {}
-        for part in range(1, 1 << g.n_t):
-            gain = dem[part] - rank[x | nbr0[part]]
-            if gain > 0:
-                parts.append(part)
-                gains[part] = gain
-        parts_by_x.append(parts)
-        gains_by_x.append(gains)
-    return parts_by_x, gains_by_x
+    xs = range(1 << g.n_s)
+    nbr0 = union_table(inst.initial.t_adj)
+    gain = [d - rank[x | nb] for d, nb in zip(inst.demand.values, nbr0) for x in xs]
+    positive = {idx >> g.n_s for idx, v in enumerate(gain) if v > 0} - {0}
+    # every positive part's gains, and a 0/1 row of the x it helps
+    rows = {p: gain[p << g.n_s:(p + 1) << g.n_s] for p in positive}
+    helps = {p: [v > 0 for v in row] for p, row in rows.items()}
+    through: dict[int, list[int]] = {}  # the positive parts by lowest node
+    for p in positive:
+        through.setdefault(p & -p, []).append(p)
+    union = reduce(or_, positive, 0)
+    best, count = {0: [0] * len(xs)}, {0: [1] * len(xs)}
+    for a in submasks(union):  # a = 0 keeps its start values
+        low = a & -a
+        rest = a ^ low
+        top, total = best[rest], count[rest]
+        for p in through.get(low, ()):
+            if p & ~a:
+                continue
+            left = a ^ p
+            top = list(map(max, top, map(add, rows[p], best[left])))
+            total = list(map(add, total, map(mul, helps[p], count[left])))
+        best[a], count[a] = top, total
+    t_masks = range(1 << g.n_t)
+    return gain, [best[a & union] for a in t_masks], [count[a & union] for a in t_masks]
+
+
+def _first_packing(gain: list[int], best: list[list[int]], x: int, avail: int) -> tuple[int, ...]:
+    """The first packing of left set x inside ``avail`` whose total is the best,
+    in the literal scan's pre-order: the empty family, then each positive part
+    ascending followed by the packings of later parts beside it.  A branch is
+    entered only when its part's gain plus the best packing of what is left
+    can still reach the total, so only the path to the answer is walked in
+    full.  Takes ``_packing_tables``' gain and best."""
+    gain = gain[x::len(best[0])]  # x's gain per T-mask
+    parts = [p for p in submasks(avail) if p and gain[p] > 0]
+
+    def family(avail: int, need: int, start: int):
+        yield 0, ()
+        for idx in range(start, len(parts)):
+            p = parts[idx]
+            if p & ~avail or gain[p] + best[avail ^ p][x] < need:
+                continue
+            for total, rest in family(avail ^ p, need - gain[p], idx + 1):
+                yield gain[p] + total, (p,) + rest
+
+    need = best[avail][x]
+    return _first_attaining(need, family(avail, need, 0))
 
 
 def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | None:
@@ -338,6 +319,10 @@ def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | Non
     Quantifies over a left subset, a right subset, and every subpartition of
     the remaining right nodes; each part contributes its demand minus the
     rank of the left subset joined with the part's initial neighborhood.
+    The best packing of positive parts inside every right mask comes from the
+    subset DP of ``_packing_tables``.  ``ineq_evals`` counts the packings of
+    positive parts over all (x, y), one inequality each, as a literal scan
+    would offer them.
     """
     degrees = _require_full_degrees(inst.degrees)
     if inst.demand is None:
@@ -346,24 +331,18 @@ def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | Non
         raise PreconditionError("demand is not positively intersecting supermodular")
     g = inst.grounds
     gamma = degrees.gamma
-    cut = inst.complement.cut_table
-    nbr0 = union_table(inst.initial.t_adj)
-    parts_by_x, gains_by_x = _useful_parts_by_x(inst, nbr0)
-    best = _Max()
-    evals = 0
-    for y in range(1 << g.n_t):
-        avail = g.t_all ^ y
-        ty = degrees.sum_t(y)
-        for x in range(1 << g.n_s):
-            base = degrees.sum_s(x) + ty - cut[x][y]
-            for parts, total in _packings(parts_by_x[x], gains_by_x[x], avail):
-                evals += 1
-                best.offer(base + total, (x, y, parts))
-    _bump(stats, "ineq_evals", evals)
-    if best.lhs <= gamma:
+    gain, best, count = _packing_tables(inst)
+    inside = [v for row in best for v in row]  # flat over x | a << n_s
+    flip = g.t_all << g.n_s  # idx ^ flip pairs (x, y) with (x, T - y)
+    base = _ore_table(inst.complement, degrees)
+    lhs_table = [b + inside[idx ^ flip] for idx, b in enumerate(base)]
+    _bump(stats, "ineq_evals", sum(map(sum, count)))
+    lhs, idx = _table_argmax(lhs_table)
+    if lhs <= gamma:
         return None
-    x, y, parts = best.payload
-    return ViolationCert("msmt", x=x, y=y, parts=parts, lhs=best.lhs, rhs=gamma)
+    x, y = _split_index(g, idx)
+    parts = _first_packing(gain, best, x, g.t_all ^ y)
+    return ViolationCert("msmt", x=x, y=y, parts=parts, lhs=lhs, rhs=gamma)
 
 
 def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | None:
@@ -372,6 +351,10 @@ def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | 
     Besides the subpartition condition (now over all of T), each left node
     must have room for its new edges next to its initial ones; that per-node
     bound is checked first and reported with the right class size as rhs.
+    The subpartition condition is the table sum_s(x) + best packing inside T,
+    over left subsets x.  ``ineq_evals`` counts the left nodes, then the
+    packings of positive parts inside T over all x, as a literal scan would
+    offer them.
     """
     if inst.degrees is None:
         raise InstanceError("this condition needs left degrees")
@@ -387,20 +370,15 @@ def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | 
     if worst > g.n_t:
         return ViolationCert("ms_only_degree", x=1 << i, lhs=worst, rhs=g.n_t)
     gamma = degrees.gamma
-    nbr0 = union_table(inst.initial.t_adj)
-    parts_by_x, gains_by_x = _useful_parts_by_x(inst, nbr0)
-    best = _Max()
-    evals = 0
-    for x in range(1 << g.n_s):
-        base = degrees.sum_s(x)
-        for parts, total in _packings(parts_by_x[x], gains_by_x[x], g.t_all):
-            evals += 1
-            best.offer(base + total, (x, parts))
-    _bump(stats, "ineq_evals", evals)
-    if best.lhs <= gamma:
+    gain, best, count = _packing_tables(inst)
+    s_sums, _ = _degree_rows(degrees)
+    lhs_table = list(map(add, s_sums, best[g.t_all]))
+    _bump(stats, "ineq_evals", sum(count[g.t_all]))
+    lhs, x = _table_argmax(lhs_table)
+    if lhs <= gamma:
         return None
-    x, parts = best.payload
-    return ViolationCert("ms_only", x=x, parts=parts, lhs=best.lhs, rhs=gamma)
+    parts = _first_packing(gain, best, x, g.t_all)
+    return ViolationCert("ms_only", x=x, parts=parts, lhs=lhs, rhs=gamma)
 
 
 def check_fully(inst: Instance, stats: dict | None = None) -> ViolationCert | None:

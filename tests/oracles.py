@@ -291,6 +291,117 @@ def literal_nested_pair(inst, which, ell, rank_s, rank_t):
     return ViolationCert(which, x=x, y=y, xp=xp, yp=yp, lhs=lhs, rhs=gamma)
 
 
+def set_partitions(mask: int):
+    """All partitions of the bits of ``mask`` into non-empty blocks.
+
+    Generated by restricted growth: each element joins the existing blocks in
+    order before opening a new one, so the order is deterministic.
+    """
+    elems = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    if not elems:
+        yield ()
+        return
+
+    blocks: list[int] = []
+
+    def rec(idx: int):
+        if idx == len(elems):
+            yield tuple(blocks)
+            return
+        bit = 1 << elems[idx]
+        for i in range(len(blocks)):
+            blocks[i] |= bit
+            yield from rec(idx + 1)
+            blocks[i] ^= bit
+        blocks.append(bit)
+        yield from rec(idx + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def subpartitions(mask: int):
+    """All families of non-empty pairwise disjoint blocks inside ``mask``.
+
+    The empty family comes first; then partitions of every submask ascending.
+    """
+    for sub in range(mask + 1):
+        if sub & mask == sub:
+            yield from set_partitions(sub)
+
+
+def _packings(parts, gains, avail, start=0):
+    """Disjoint families drawn from ``parts`` inside ``avail``, with totals, in
+    pre-order: the empty family first, then each part in turn followed by the
+    families of later parts beside it."""
+    yield (), 0
+    for idx in range(start, len(parts)):
+        p = parts[idx]
+        if p & ~avail:
+            continue
+        for rest, total in _packings(parts, gains, avail & ~p, idx + 1):
+            yield (p,) + rest, gains[p] + total
+
+
+def _positive_parts(inst, x):
+    """The parts with positive gain dem(p) - r(x + N0(p)) for left set ``x``,
+    ascending, with their gains; neighbourhoods rebuilt edge by edge."""
+    g = inst.grounds
+    rank, dem = inst.matroid_s.rank, inst.demand.values
+    gains = {}
+    for part in range(1, 1 << g.n_t):
+        nbr = 0
+        for s, t in inst.initial.edges:
+            if part >> t & 1:
+                nbr |= 1 << s
+        gain = dem[part] - rank[x | nbr]
+        if gain > 0:
+            gains[part] = gain
+    return list(gains), gains
+
+
+def literal_msmt(inst):
+    """The general condition by one step per packing: (certificate or None, ineq_evals).
+
+    Every (x, y), right subsets ascending, offers each packing of positive
+    parts inside T - y; the first maximiser is the certificate.
+    """
+    g = inst.grounds
+    lhs_of = _ore_lhs(inst)
+    by_x = [_positive_parts(inst, x) for x in range(1 << g.n_s)]
+    family = [
+        (lhs_of(x, y) + total, (x, y, fam))
+        for x, y in _pairs(g)
+        for fam, total in _packings(*by_x[x], g.t_all ^ y)
+    ]
+    lhs, (x, y, parts) = _first_max(family)
+    gamma = inst.degrees.gamma
+    if lhs <= gamma:
+        return None, len(family)
+    return ViolationCert("msmt", x=x, y=y, parts=parts, lhs=lhs, rhs=gamma), len(family)
+
+
+def literal_ms_only(inst):
+    """The left-degree form: the per-node room bound, then one step per packing
+    inside T: (certificate or None, ineq_evals)."""
+    g = inst.grounds
+    deg = inst.degrees
+    loads = [m + sum(1 for s, _ in inst.initial.edges if s == i) for i, m in enumerate(deg.m_s)]
+    worst, i = _first_max((load, i) for i, load in enumerate(loads))
+    if worst > g.n_t:
+        return ViolationCert("ms_only_degree", x=1 << i, lhs=worst, rhs=g.n_t), len(loads)
+    family = [
+        (_mask_sum(deg.m_s, x) + total, (x, fam))
+        for x in range(1 << g.n_s)
+        for fam, total in _packings(*_positive_parts(inst, x), g.t_all)
+    ]
+    lhs, (x, parts) = _first_max(family)
+    evals = len(loads) + len(family)
+    if lhs <= deg.gamma:
+        return None, evals
+    return ViolationCert("ms_only", x=x, parts=parts, lhs=lhs, rhs=deg.gamma), evals
+
+
 def literal_ryser_gen(inst):
     ms, mt = inst.matroid_s, inst.matroid_t
     return literal_nested_pair(

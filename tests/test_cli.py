@@ -11,7 +11,7 @@ import pytest
 from termrank.bigraph import Bigraph, DegreeSpec, GroundSets
 from termrank.cli import main
 from termrank.errors import InstanceError
-from termrank.feasibility import Instance
+from termrank.feasibility import Instance, check_msmt, recompute_lhs
 from termrank.harness import FuzzConfig, run_fuzz, verify_msmt
 from termrank.jsonio import (
     dumps,
@@ -357,8 +357,20 @@ def test_cli_check_cap_goldens(golden_path, tmp_path, capsys):
 
 def test_cap_goldens_present():
     assert [p.stem for p in CAP_GOLDENS] == [
-        "cap_fully_10x2", "cap_rank_r3_10", "cap_ryser_gen_2x10",
+        "cap_fully_10x2", "cap_msmt_2x10", "cap_rank_r3_10", "cap_ryser_gen_2x10",
         "cap_solve_brualdi_4x8", "cap_solve_msmt_6x6", "cap_solve_ryser_6x6",
         "cap_solve_ryser_6x6_perfect", "cap_solve_ryser_gen_5x7",
         "cap_solve_ryser_gen_5x7_bnb",
     ]
+
+
+def test_cli_check_answers_the_largest_packing_family(capsys):
+    # an infeasible msmt draw at 2x10 with over fourteen million packings,
+    # all counted by the subset DP and none enumerated
+    path = Path(__file__).parent / "data" / "msmt_2x10_gap_seed1.json"
+    assert main(["check", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"]["ineq_evals"] == 14_140_108
+    _, inst = load_instance(json.loads(path.read_text(encoding="utf-8")))
+    cert = check_msmt(inst)
+    assert recompute_lhs(cert, inst) == cert.lhs == payload["certificate"]["lhs"] > cert.rhs

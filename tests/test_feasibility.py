@@ -30,8 +30,6 @@ from termrank.feasibility import (
     check_ryser_matroid,
     check_ryser_novel,
     recompute_lhs,
-    set_partitions,
-    subpartitions,
 )
 from termrank.harness import (
     FuzzConfig,
@@ -42,7 +40,7 @@ from termrank.harness import (
 from termrank.matroid import Matroid
 from termrank.setfun import constant, from_corank
 
-from .oracles import naive_subgraph_exists
+from .oracles import naive_subgraph_exists, set_partitions, subpartitions
 
 
 def grounds(n_s, n_t):

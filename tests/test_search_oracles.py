@@ -14,12 +14,7 @@ from itertools import combinations_with_replacement
 from termrank.bigraph import GroundSets, cut_count, neighborhood
 from termrank.cover import covers, min_arc_cover
 from termrank.errors import PreconditionError
-from termrank.feasibility import (
-    Instance,
-    check_ms_only,
-    check_msmt,
-    subpartitions,
-)
+from termrank.feasibility import Instance, check_ms_only, check_msmt
 from termrank.harness import FuzzConfig, random_ms_only_instance, random_msmt_instance
 from termrank.setfun import (
     SetFunction,
@@ -28,6 +23,8 @@ from termrank.setfun import (
     full_demand,
     st_independent,
 )
+
+from .oracles import subpartitions
 
 
 def naive_min_cover_size(demand: SetFunction, n_s: int, limit: int) -> int:

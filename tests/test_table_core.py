@@ -16,6 +16,8 @@ from termrank.feasibility import (
     _subset_max,
     _superset_max,
     check_fully,
+    check_ms_only,
+    check_msmt,
     check_ryser_gen,
     check_ryser_novel,
     ryser_table,
@@ -27,6 +29,7 @@ from termrank.harness import (
     _random_initial,
     _random_matroid,
     _random_matroid_of_rank,
+    random_ms_only_instance,
     random_msmt_instance,
 )
 from termrank.matroid import Matroid, validate_rank_table
@@ -34,6 +37,8 @@ from termrank.setfun import SetFunction, classify_supermodular, from_corank
 
 from .oracles import (
     literal_fully,
+    literal_ms_only,
+    literal_msmt,
     literal_rank_violation,
     literal_ryser_gen,
     literal_ryser_novel,
@@ -144,6 +149,28 @@ def test_fully_certificates_match_the_literal_scan():
         assert repr(cert) == repr(literal_fully(inst))
         kinds.add(None if cert is None else cert.which)
     assert kinds == {None, "ore", "fully"}
+
+
+def test_packing_certificates_match_the_literal_scan():
+    rng = random.Random(20260903)
+    kinds = set()
+    multi_part = 0
+    for i in range(200):
+        literal = literal_ms_only if i % 2 else literal_msmt
+        check = check_ms_only if i % 2 else check_msmt
+        draw = random_ms_only_instance if i % 2 else random_msmt_instance
+        inst = draw(rng, CFG)
+        if rng.random() < 0.5:
+            inst = _idle(inst)
+        stats: dict = {}
+        cert = check(inst, stats=stats)
+        expected, evals = literal(inst)
+        assert repr(cert) == repr(expected)
+        assert stats == {"ineq_evals": evals}
+        kinds.add(None if cert is None else cert.which)
+        multi_part += cert is not None and len(cert.parts) >= 2
+    assert kinds == {None, "msmt", "ms_only_degree", "ms_only"}
+    assert multi_part > 0
 
 
 def test_nested_pair_certificates_match_the_literal_scan():
