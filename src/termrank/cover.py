@@ -227,7 +227,8 @@ def certified_cover(
             has[b] |= 1 << idx
     arcs = [(i, j) for i in range(n_s) for j in range(n_t)]
     arc_covers = [has[n_s + j] & ~has[i] for i, j in arcs]
-    arc_sets = [tuple(bits(c)) for c in arc_covers]  # the sets each arc enters
+    # the sets each arc enters, ascending, read off the binary digits
+    arc_sets = [tuple(i for i, d in enumerate(bin(c)[:1:-1]) if d == "1") for c in arc_covers]
 
     dual_idx = [positive.index(m) for m in sets]
 

@@ -13,9 +13,10 @@ Nested families fold their inner sets into such a table with a superset- or
 subset-max transform (Bjorklund, Husfeldt, Kaski and Koivisto, *Fourier meets
 Mobius*, STOC 2007), so every inequality still counts through the maxima;
 only a violated family re-enumerates its inner sets, for the first attaining
-pair alone, to name the certificate.  The packings of disjoint right parts in
-the general condition fold in the same way, by a lowest-bit subset DP that
-also counts them (``_packing_tables``).
+pair alone, to name the certificate.  Ranks are monotone, so the nested-pair
+condition folds its larger class in closed form and transforms only the
+smaller one's bits, O(2^n min(|S|, |T|)) (``_best_outer``).  The packings of
+disjoint right parts fold by a lowest-bit subset DP that also counts them.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _superset_max(table: list[int], positions: Iterable[int]) -> None:
     size = len(table)
     for i in positions:
         for lo, hi in bit_halves(size, 1 << i):
-            table[lo] = map(max, table[lo], table[hi])
+            table[lo] = [a if a > b else b for a, b in zip(table[lo], table[hi])]
 
 
 def _subset_max(table: list[int], positions: Iterable[int]) -> None:
@@ -169,7 +170,7 @@ def _subset_max(table: list[int], positions: Iterable[int]) -> None:
     size = len(table)
     for i in positions:
         for lo, hi in bit_halves(size, 1 << i):
-            table[hi] = map(max, table[hi], table[lo])
+            table[hi] = [a if a > b else b for a, b in zip(table[hi], table[lo])]
 
 
 def _table_argmax(table: list[int]) -> tuple[int, int]:
@@ -201,13 +202,16 @@ def _degree_rows(degrees: DegreeSpec) -> tuple[list[int], list[int]]:
 
 
 def _ore_table(g0: Bigraph, degrees: DegreeSpec) -> list[int]:
-    """sum_s(x) + sum_t(y) - cut(x, y) in ``g0``, flat over ``x | y << n_s``."""
+    """sum_s(x) + sum_t(y) - cut(x, y) in the simple graph ``g0``, flat over
+    ``x | y << n_s``: row y is row y - t, t its lowest node, plus m_t(t) - |x & N(t)|."""
     s_sums, _ = _degree_rows(degrees)
-    table: list[int] = []
-    for y, col in enumerate(zip(*g0.cut_table)):
-        ty = degrees.sum_t(y)
-        table += [s + ty - c for s, c in zip(s_sums, col)]
-    return table
+    steps = [[m - (x & nb).bit_count() for x in range(len(s_sums))]
+             for m, nb in zip(degrees.m_t, g0.t_adj)]
+    rows = [s_sums]
+    for y in range(1, 1 << degrees.grounds.n_t):
+        low = y & -y
+        rows.append(list(map(add, rows[y ^ low], steps[low.bit_length() - 1])))
+    return [v for row in rows for v in row]
 
 
 def _bump(stats: dict | None, key: str, amount: int = 1) -> None:
@@ -283,7 +287,7 @@ def _packing_tables(inst: Instance) -> tuple[list[int], list[list[int]], list[li
             if p & ~a:
                 continue
             left = a ^ p
-            top = list(map(max, top, map(add, rows[p], best[left])))
+            top = [a if a > b else b for a, b in zip(top, map(add, rows[p], best[left]))]
             total = list(map(add, total, map(mul, helps[p], count[left])))
         best[a], count[a] = top, total
     t_masks = range(1 << g.n_t)
@@ -496,23 +500,11 @@ def check_ryser(degrees: DegreeSpec, ell: int, stats: dict | None = None) -> Vio
     return cert
 
 
-def _uncovered_t_table(graph: Bigraph) -> list[int]:
-    """For each S-mask: the T-nodes forced into any vertex cover using that mask.
-
-    Those are the neighbours of the left nodes outside the mask: the
-    neighbourhood table of left subsets read backwards, since the complement
-    of mask ``xp`` is ``s_all - xp``.
-    """
-    return union_table(graph.s_adj)[::-1]
-
-
-def _cover_table(needed: list[int], rank_s, rank_t, n_t: int) -> list[int]:
-    """-r_S(xp) - r_T(yp) over ``xp | yp << n_s``; _NEG where (xp, yp) misses an edge."""
-    table: list[int] = []
-    for yp in range(1 << n_t):
-        rt = rank_t[yp]
-        table += [_NEG if nd & ~yp else -rs - rt for rs, nd in zip(rank_s, needed)]
-    return table
+def _forced_table(adj: tuple[int, ...]) -> list[int]:
+    """For each mask of one class, given its adjacency masks: the other class's
+    nodes forced into any vertex cover using that mask, that is the neighbours
+    of the nodes outside it (the neighbourhood table read backwards)."""
+    return union_table(adj)[::-1]
 
 
 def common_rank(graph: Bigraph, matroid_s: Matroid, matroid_t: Matroid) -> int:
@@ -536,8 +528,10 @@ def check_brualdi(
     """
     g = graph.grounds
     ell = common_rank(graph, matroid_s, matroid_t)
-    needed = _uncovered_t_table(graph)
-    table = _cover_table(needed, matroid_s.rank, matroid_t.rank, g.n_t)
+    needed = _forced_table(graph.s_adj)
+    # -r_S(xp) - r_T(yp) over xp | yp << n_s; _NEG where (xp, yp) misses an edge
+    table = [_NEG if nd & ~yp else -rs - rt
+             for yp, rt in enumerate(matroid_t.rank) for rs, nd in zip(matroid_s.rank, needed)]
     _bump(stats, "ineq_evals", len(table) - table.count(_NEG))
     best, idx = _table_argmax(table)
     lhs = ell + best
@@ -564,6 +558,33 @@ def _resolve_common_rank(inst: Instance) -> int:
     return rs
 
 
+def _best_outer(initial: Bigraph, rank_s, rank_t) -> tuple[list[int], int]:
+    """Max of -r_S(xp) - r_T(yp) over x <= xp, y <= yp with (xp, yp) covering
+    the initial edges, flat over ``x | y << n_s``, and the number of such (x, y, xp, yp).
+
+    Ranks are monotone, so the best yp for xp above y is y | N(S - xp), and the
+    best xp for yp above x is x | N(T - yp).  The larger class is folded so and
+    a superset-max over the smaller class's bits picks the other outer set.
+    Each xp has 2^|xp| sets x below it and 2^|N| 3^(|T| - |N|) pairs y <= yp
+    with N = N(S - xp) <= yp.
+    """
+    g = initial.grounds
+    needed = _forced_table(initial.s_adj)
+    count = sum(
+        (1 << (xp.bit_count() + nd.bit_count())) * 3 ** (g.n_t - nd.bit_count())
+        for xp, nd in enumerate(needed)
+    )
+    if g.n_s <= g.n_t:
+        outer = [-rs - rank_t[y | nd] for y in range(1 << g.n_t) for rs, nd in zip(rank_s, needed)]
+        _superset_max(outer, range(g.n_s))
+    else:
+        forced = _forced_table(initial.t_adj)
+        xs = range(1 << g.n_s)
+        outer = [-rank_s[x | f] - rank_t[yp] for yp, f in enumerate(forced) for x in xs]
+        _superset_max(outer, range(g.n_s, g.n_v))
+    return outer, count
+
+
 def _nested_pair_cert(
     inst: Instance,
     which: str,
@@ -576,25 +597,21 @@ def _nested_pair_cert(
     """The nested-pair condition shared by the matroidal and uniform term-rank forms.
 
     lhs(x, y, xp, yp) = sum_s(x) + sum_t(y) - cut(x, y) + ell - r_S(xp) - r_T(yp)
-    over x <= xp, y <= yp with (xp, yp) covering the initial edges.  One
-    superset-max pass over all |S|+|T| bits of the cover table gives, for
-    every (x, y), the best outer pair above it: O(2^n n) instead of 3^n.
+    over x <= xp, y <= yp with (xp, yp) covering the initial edges.  The
+    monotone fold of ``_best_outer`` gives, for every (x, y), the best outer
+    pair above it: O(2^n min(|S|, |T|)) instead of 3^n.
     """
     g = inst.grounds
     gamma = degrees.gamma
-    needed = _uncovered_t_table(inst.initial)
-    outer = _cover_table(needed, rank_s, rank_t, g.n_t)
-    # each valid (xp, yp) stands for the 2^|xp| * 2^|yp| nested quadruples below it
-    _bump(stats, "ineq_evals", sum(
-        1 << idx.bit_count() for idx, v in enumerate(outer) if v != _NEG
-    ))
-    _superset_max(outer, range(g.n_v))
+    outer, count = _best_outer(inst.initial, rank_s, rank_t)
+    _bump(stats, "ineq_evals", count)
     base = _ore_table(inst.complement, degrees)
     lhs, idx = _table_argmax(list(map(add, base, outer)))
     lhs += ell
     if lhs <= gamma:
         return None
     x, y = _split_index(g, idx)
+    needed = _forced_table(inst.initial.s_adj)
     xp, yp = _first_attaining(lhs, (
         (base[idx] + ell - rank_s[xp] - rank_t[yp], (xp, yp))
         for yp in supermasks(y, g.t_all)

@@ -291,6 +291,38 @@ def literal_nested_pair(inst, which, ell, rank_s, rank_t):
     return ViolationCert(which, x=x, y=y, xp=xp, yp=yp, lhs=lhs, rhs=gamma)
 
 
+def literal_ore_table(inst):
+    """The cut condition's left-hand side of every (x, y), flat over
+    ``x | y << n_s``, with each cut in the complement counted edge by edge."""
+    lhs_of = _ore_lhs(inst)
+    return [lhs_of(x, y) for x, y in _pairs(inst.grounds)]
+
+
+def literal_best_outer(inst, rank_s, rank_t):
+    """The best outer pair above every (x, y), and the nested family's size.
+
+    Built as the unfolded cover table: -r_S(xp) - r_T(yp) over every
+    ``xp | yp << n_s``, a large negative number where (xp, yp) misses an
+    initial edge, then a superset-max over all |S| + |T| bits, one bit and
+    one mask at a time.  Each covering (xp, yp) stands for the
+    2^(|xp| + |yp|) nested quadruples below it.
+    """
+    g = inst.grounds
+    neg = -(1 << 62)
+    edges = inst.initial.edges
+    table = []
+    for xp, yp in _pairs(g):
+        covers = all(xp >> s & 1 or yp >> t & 1 for s, t in edges)
+        table.append(-rank_s[xp] - rank_t[yp] if covers else neg)
+    count = sum(1 << bin(idx).count("1") for idx, v in enumerate(table) if v != neg)
+    for i in range(g.n_s + g.n_t):
+        bit = 1 << i
+        for m in range(len(table)):
+            if not m & bit and table[m | bit] > table[m]:
+                table[m] = table[m | bit]
+    return table, count
+
+
 def set_partitions(mask: int):
     """All partitions of the bits of ``mask`` into non-empty blocks.
 

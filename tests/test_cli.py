@@ -179,7 +179,7 @@ def test_cli_solve_routes_and_witness_verification(tmp_path, capsys):
     path = write(tmp_path, "msmt.json", body)
     out = str(tmp_path / "result.json")
     assert main(["solve", path, "--route", "both", "--out", out]) == 0
-    result = json.loads(open(out).read())
+    result = json.loads(Path(out).read_text())
     assert result["verdict"] == "feasible"
     assert len(result["witness"]["edges"]) == 2
     assert main(["check", path, "--verify-witness", out]) == 0
@@ -258,8 +258,8 @@ def test_cli_fuzz_deterministic_and_clean(tmp_path):
     b = str(tmp_path / "b.json")
     assert main(["fuzz", "--seed", "3", "--count", "40", "--out", a]) == 0
     assert main(["fuzz", "--seed", "3", "--count", "40", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
-    report = json.loads(open(a).read())
+    assert Path(a).read_text() == Path(b).read_text()
+    report = json.loads(Path(a).read_text())
     assert report["discrepancy_count"] == 0
     assert report["instances"] == 40
 

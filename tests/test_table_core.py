@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import random
 
+from termrank import feasibility
 from termrank.bigraph import Bigraph, DegreeSpec, GroundSets, bipartite_complement, bit_halves
 from termrank.feasibility import (
+    _NEG,
     Instance,
+    _best_outer,
+    _ore_table,
     _subset_max,
     _superset_max,
     check_fully,
@@ -24,6 +28,7 @@ from termrank.feasibility import (
 )
 from termrank.harness import (
     FuzzConfig,
+    _grounds,
     _random_degrees,
     _random_grounds,
     _random_initial,
@@ -36,9 +41,11 @@ from termrank.matroid import Matroid, validate_rank_table
 from termrank.setfun import SetFunction, classify_supermodular, from_corank
 
 from .oracles import (
+    literal_best_outer,
     literal_fully,
     literal_ms_only,
     literal_msmt,
+    literal_ore_table,
     literal_rank_violation,
     literal_ryser_gen,
     literal_ryser_novel,
@@ -62,20 +69,38 @@ def test_bit_halves_pair_every_mask_once():
             assert sorted(lows) == [m for m in range(size) if not m & bit]
 
 
+def _pointwise_max(vals: list[int], free: int, upward: bool) -> list[int]:
+    """Each entry's maximum over the masks above (or below) it that differ
+    from it only in the ``free`` bits, walked one submask at a time."""
+    out = []
+    for m, v in enumerate(vals):
+        rest = free & ~m if upward else free & m
+        sub = rest
+        while sub:
+            v = max(v, vals[m | sub] if upward else vals[m ^ sub])
+            sub = (sub - 1) & rest
+        out.append(v)
+    return out
+
+
 def test_transforms_match_pointwise_maxima():
     rng = random.Random(7)
-    for n in range(1, 6):
+    kept = lifted = 0  # excluded entries that stay excluded / take a real value
+    for n in (1, 2, 3, 4, 5, 12):
         size = 1 << n
-        vals = [rng.randint(-9, 9) for _ in range(size)]
+        # _NEG marks an excluded entry, as in check_brualdi's cover table
+        vals = [_NEG if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(size)]
         free = [i for i in range(n) if rng.random() < 0.6]
-        fixed = ((1 << n) - 1) & ~sum(1 << i for i in free)
+        free_mask = sum(1 << i for i in free)
         sup, sub = vals[:], vals[:]
         _superset_max(sup, free)
         _subset_max(sub, free)
-        for m in range(size):
-            same = [k for k in range(size) if k & fixed == m & fixed]
-            assert sup[m] == max(vals[k] for k in same if k & m == m)
-            assert sub[m] == max(vals[k] for k in same if k & m == k)
+        assert sup == _pointwise_max(vals, free_mask, upward=True)
+        assert sub == _pointwise_max(vals, free_mask, upward=False)
+        for v, out in zip(vals * 2, sup + sub):
+            kept += v == out == _NEG
+            lifted += v == _NEG != out
+    assert kept and lifted
 
 
 def test_ryser_table_matches_the_pointwise_left_hand_side():
@@ -204,6 +229,53 @@ def test_ryser_gen_counts_every_nested_inequality():
     # the cut condition's 2^6 pairs come first, then the nested family
     assert stats == {"ineq_evals": 640}
     assert nested == 640 - 64
+
+
+def _cap_matroid(rng: random.Random, kind: str, ground: tuple[str, ...]) -> Matroid:
+    n = len(ground)
+    if kind == "uniform":
+        return Matroid.uniform(ground, rng.randint(0, n))
+    if kind == "partition":
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        blocks = [ground[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return Matroid.partition(ground, blocks, [rng.randint(0, len(b)) for b in blocks])
+    return _random_matroid_of_rank(rng, ground, rng.randint(0, n))
+
+
+def test_folded_tables_match_the_literal_tables_at_the_cap(monkeypatch):
+    """The row-wise Ore table and the monotone fold of the nested-pair cover
+    table against their unfolded forms, with the nested family's count, at
+    every cap shape, for an empty, a half and a complete initial graph."""
+    passes = []
+
+    def recording_superset_max(table, positions):
+        positions = list(positions)
+        passes.append(positions)
+        _superset_max(table, positions)
+
+    monkeypatch.setattr(feasibility, "_superset_max", recording_superset_max)
+    rng = random.Random(20261018)
+    folded = set()
+    for n_s, n_t in ((6, 6), (5, 7), (2, 10), (10, 2), (1, 11), (11, 1)):
+        grounds = _grounds(n_s, n_t)
+        for density in (0.0, 0.5, 1.0):
+            initial = _random_initial(rng, grounds, density)
+            degrees = _random_degrees(rng, grounds, 3, host=bipartite_complement(initial))
+            inst = Instance.make(grounds, initial=initial, degrees=degrees)
+            assert _ore_table(inst.complement, degrees) == literal_ore_table(inst)
+            for kind in ("uniform", "partition", "random"):
+                rank_s = _cap_matroid(rng, kind, grounds.s_ids).rank
+                rank_t = _cap_matroid(rng, kind, grounds.t_ids).rank
+                passes.clear()
+                assert _best_outer(initial, rank_s, rank_t) == literal_best_outer(
+                    inst, rank_s, rank_t
+                )
+                # one superset-max, over the bits of the class that is not folded
+                [bits_run] = passes
+                small_side = range(n_s) if n_s <= n_t else range(n_s, n_s + n_t)
+                assert bits_run == list(small_side)
+                folded.add("T" if n_s <= n_t else "S")
+    assert folded == {"S", "T"}
 
 
 def _random_table(rng: random.Random, n: int) -> tuple[int, ...]:
