@@ -59,6 +59,15 @@ def supermasks(base: int, universe: int) -> Iterator[int]:
         yield base | free
 
 
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """The total weight of every mask over the given elements, by doubling:
+    the masks holding element i repeat those without it, plus its weight."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def union_table(adj: Sequence[int]) -> list[int]:
     """OR of ``adj[i]`` over the bits i of every mask below ``1 << len(adj)``.
 
@@ -326,21 +335,13 @@ class DegreeSpec:
 
     @cached_property
     def _s_sums(self) -> tuple[int, ...]:
-        sums = [0] * (1 << self.grounds.n_s)
-        for x in range(1, len(sums)):
-            low = x & -x
-            sums[x] = sums[x ^ low] + self.m_s[low.bit_length() - 1]
-        return tuple(sums)
+        return tuple(subset_sums(self.m_s))
 
     @cached_property
     def _t_sums(self) -> tuple[int, ...]:
         if self.m_t is None:
             raise InstanceError("right degrees are not specified")
-        sums = [0] * (1 << self.grounds.n_t)
-        for y in range(1, len(sums)):
-            low = y & -y
-            sums[y] = sums[y ^ low] + self.m_t[low.bit_length() - 1]
-        return tuple(sums)
+        return tuple(subset_sums(self.m_t))
 
     def sum_s(self, s_mask: int) -> int:
         return self._s_sums[s_mask]

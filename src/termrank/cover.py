@@ -43,6 +43,10 @@ from .setfun import (
 # times the largest search measured at the ground cap (3,245 nodes), so a lift
 # that breaks the covering lemma fails in seconds, not by exhaustive search.
 COVER_NODE_BUDGET = 500_000
+# Memo states one ``_max_independent_family`` search may hold: about four times
+# the largest measured at the ground cap (526,251 states, 2.8 s, ~150 MB, on a
+# ryser_gen 6x6 lift), so a search too large fails in seconds, not by memory.
+FAMILY_STATE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,7 @@ def _max_independent_family(
     stack, since the chain of candidates can be longer than Python's
     recursion limit; the memo keeps each state's value and whether its lowest
     candidate is taken, and the family is read back from those choices.
+    Raises ``TermrankError`` past ``FAMILY_STATE_BUDGET`` memo states.
     """
     k = len(masks)
     incompat = [0] * k
@@ -140,6 +145,10 @@ def _max_independent_family(
             taken.add(avail)
         else:
             value[avail] = without_val
+        if len(value) > FAMILY_STATE_BUDGET:
+            raise TermrankError(
+                f"independent family search exceeded its budget of {FAMILY_STATE_BUDGET:,} memo states"
+            )
 
     fam = []
     avail = full
@@ -219,12 +228,11 @@ def certified_cover(
     if not positive:
         return ArcCover(())
 
-    # has[b]: the positive sets holding ground bit b, as a bitmask over their
-    # indices; arc (i, j) enters the sets holding n_s + j but not i
-    has = [0] * demand.n
-    for idx, m in enumerate(positive):
-        for b in bits(m):
-            has[b] |= 1 << idx
+    # has[b]: the positive sets holding ground bit b, as a bitmask over their indices,
+    # read off one column of their binary digits; arc (i, j) enters has[n_s + j] - has[i]
+    n = demand.n
+    digits = "".join(format(m, f"0{n}b") for m in reversed(positive))
+    has = [int(digits[n - 1 - b::n], 2) for b in range(n)]
     arcs = [(i, j) for i in range(n_s) for j in range(n_t)]
     arc_covers = [has[n_s + j] & ~has[i] for i, j in arcs]
     # the sets each arc enters, ascending, read off the binary digits

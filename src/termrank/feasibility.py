@@ -9,34 +9,36 @@ Certificates therefore serve as deterministic goldens.
 
 Families over subset pairs (x, y) are flat tables indexed by
 ``x | y << n_s``, whose ascending order is exactly that iteration order.
-Nested families fold their inner sets into such a table with a superset- or
-subset-max transform (Bjorklund, Husfeldt, Kaski and Koivisto, *Fourier meets
-Mobius*, STOC 2007), so every inequality still counts through the maxima;
-only a violated family re-enumerates its inner sets, for the first attaining
-pair alone, to name the certificate.  Ranks are monotone, so the nested-pair
-condition folds its larger class in closed form and transforms only the
-smaller one's bits, O(2^n min(|S|, |T|)) (``_best_outer``).  The packings of
-disjoint right parts fold by a lowest-bit subset DP that also counts them.
+The cut conditions are separable (Ryser 1957; Gale 1957): for a fixed x the
+left-hand side is modular in y, sum_s(x) plus the gain m_t(j) - |x & N(j)|
+of each j in y, so it peaks at the positive gains.  The Ore-type checkers
+enumerate only the smaller class, O(2^min(|S|,|T|) max(|S|,|T|)), and the
+fully supermodular and nested-pair conditions fold their inner y, and by
+rank monotonicity their outer left set, into one flat table over x and one
+right set.  Every inequality still counts through a closed form; only a
+violated family re-enumerates its inner sets, for the first attaining pair
+alone, to name the certificate.  The packings of disjoint right parts fold
+by a lowest-bit subset DP that also counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from operator import add, mul, or_
-from typing import Iterable
+from itertools import accumulate, chain, repeat
+from operator import add, mul, or_, sub
+from typing import Iterable, Iterator
 
 from .bigraph import (
     Bigraph,
     DegreeSpec,
     GroundSets,
     bipartite_complement,
-    bit_halves,
     bits,
     cut_count,
     neighborhood,
     submasks,
+    subset_sums,
     supermasks,
     union_table,
 )
@@ -152,31 +154,18 @@ class Instance:
 _NEG = -(1 << 62)
 
 
-def _superset_max(table: list[int], positions: Iterable[int]) -> None:
-    """In place: each entry becomes the maximum over its supermasks.
-
-    Only the given bit positions are free: afterwards ``table[m]`` is the
-    maximum of ``table[m2]`` over every supermask ``m2`` of ``m`` that agrees
-    with ``m`` on all other bits.  O(size * len(positions)).
-    """
-    size = len(table)
-    for i in positions:
-        for lo, hi in bit_halves(size, 1 << i):
-            table[lo] = [a if a > b else b for a, b in zip(table[lo], table[hi])]
-
-
-def _subset_max(table: list[int], positions: Iterable[int]) -> None:
-    """In place: each entry becomes the maximum over its submasks (see above)."""
-    size = len(table)
-    for i in positions:
-        for lo, hi in bit_halves(size, 1 << i):
-            table[hi] = [a if a > b else b for a, b in zip(table[hi], table[lo])]
-
-
 def _table_argmax(table: list[int]) -> tuple[int, int]:
     """The maximum of a flat table and the first index attaining it."""
     best = max(table)
     return best, table.index(best)
+
+
+def _attaining(table: list[int], value: int) -> Iterator[int]:
+    """Every index of ``table`` holding ``value``, ascending."""
+    idx = -1
+    for _ in range(table.count(value)):
+        idx = table.index(value, idx + 1)
+        yield idx
 
 
 def _first_attaining(target: int, family: Iterable[tuple[int, object]]):
@@ -195,23 +184,85 @@ def _split_index(g: GroundSets, idx: int) -> tuple[int, int]:
     return idx & g.s_all, idx >> g.n_s
 
 
-def _degree_rows(degrees: DegreeSpec) -> tuple[list[int], list[int]]:
-    """Degree sum and size of every left subset, indexed by S-mask."""
-    xs = range(1 << degrees.grounds.n_s)
-    return [degrees.sum_s(x) for x in xs], [x.bit_count() for x in xs]
+def _gain_columns(n_row: int, w_col: Iterable[int], col_adj: Iterable[int]) -> list[list[int]]:
+    """Each node j's gain w_col[j] - |r & col_adj[j]| at every mask r of the
+    other class (``n_row`` nodes), ``col_adj[j]`` its host neighbours."""
+    cols = []
+    for w, adj in zip(w_col, col_adj):
+        col = [w]
+        for i in range(n_row):
+            col += [v - 1 for v in col] if adj >> i & 1 else col
+        cols.append(col)
+    return cols
 
 
-def _ore_table(g0: Bigraph, degrees: DegreeSpec) -> list[int]:
-    """sum_s(x) + sum_t(y) - cut(x, y) in the simple graph ``g0``, flat over
-    ``x | y << n_s``: row y is row y - t, t its lowest node, plus m_t(t) - |x & N(t)|."""
-    s_sums, _ = _degree_rows(degrees)
-    steps = [[m - (x & nb).bit_count() for x in range(len(s_sums))]
-             for m, nb in zip(degrees.m_t, g0.t_adj)]
-    rows = [s_sums]
-    for y in range(1, 1 << degrees.grounds.n_t):
-        low = y & -y
-        rows.append(list(map(add, rows[y ^ low], steps[low.bit_length() - 1])))
-    return [v for row in rows for v in row]
+def _plus(cols: list[list[int]]) -> list[list[int]]:
+    return [[v if v > 0 else 0 for v in col] for col in cols]
+
+
+def _positive_mask(cols: list[list[int]], r: int) -> int:
+    """P(r): the nodes whose gain at mask r is positive."""
+    return sum(1 << j for j, col in enumerate(cols) if col[r] > 0)
+
+
+def _fold_gains(start: list[int], cols: list[list[int]]) -> list[int]:
+    """start[x] plus the gain of every node of a, flat over ``x | a << n_s``."""
+    table = list(start)
+    for col in cols:
+        table += list(map(add, table, col * (len(table) // len(col))))
+    return table
+
+
+def _cut_table(w_s, w_t, t_adj) -> list[int]:
+    """w_s(x) + w_t(y) - cut(x, y) in a host, flat over ``x | y << n_s``."""
+    return _fold_gains(subset_sums(w_s), _gain_columns(len(w_s), w_t, t_adj))
+
+
+def _complete_adj(g: GroundSets) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The adjacency masks of the complete bigraph, left nodes' then right's."""
+    return (g.t_all,) * g.n_s, (g.s_all,) * g.n_t
+
+
+def _separable_argmax(w_s, w_t, s_adj, t_adj) -> tuple[int, int]:
+    """Maximum over (x, y) of w_s(x) + w_t(y) - cut(x, y) in a host, and the
+    first maximiser's index ``x | y << n_s``.  For a fixed x the sum peaks at
+    the positive gains P(x), and every y attaining the peak holds P(x); when
+    |S| > |T| the classes swap, and x = P'(y) for the first best y.
+    """
+    swap = len(w_s) > len(w_t)
+    if swap:
+        w_s, w_t, s_adj, t_adj = w_t, w_s, t_adj, s_adj
+    cols = _gain_columns(len(w_s), w_t, t_adj)
+    tops = list(map(add, subset_sums(w_s), map(sum, zip(*_plus(cols)))))
+    best = max(tops)
+    if swap:
+        y = tops.index(best)
+        return best, _positive_mask(cols, y) | y << len(w_t)
+    return best, min(x | _positive_mask(cols, x) << len(w_s) for x in _attaining(tops, best))
+
+
+def _inside_table(degrees: DegreeSpec, host: Bigraph) -> tuple[list[int], list[list[int]]]:
+    """The best cut-condition lhs over y <= a, flat over ``x | a << n_s``; the gain columns."""
+    cols = _gain_columns(degrees.grounds.n_s, degrees.m_t, host.t_adj)
+    return _fold_gains(subset_sums(degrees.m_s), _plus(cols)), cols
+
+
+def _part_terms(values: Iterable[int], nbrs: list[int], rank) -> Iterator[int]:
+    """values[a] - rank[x | nbrs[a]], read flat over ``x | a << n_s``: a right
+    set's value less the rank of a left set joined with its left neighbours."""
+    width = len(rank)
+    rows = {nb: [rank[x | nb] for x in range(width)] for nb in set(nbrs)}
+    ranks = chain.from_iterable(map(rows.__getitem__, nbrs))
+    return map(sub, chain.from_iterable(map(repeat, values, repeat(width))), ranks)
+
+
+def _first_inner_pair(g: GroundSets, table, lhs: int, inside, cols) -> tuple[int, int, int]:
+    """The first (x, y) attaining ``lhs`` in a table over ``x | a << n_s`` that adds
+    ``inside``'s best y <= a, and its cut-condition lhs.  Each attaining entry's
+    least y is P(x) & a, so the first pair is the least x | (P(x) & a) << n_s."""
+    first, idx = min((x | (_positive_mask(cols, x) & a) << g.n_s, idx)
+                     for idx in _attaining(table, lhs) for x, a in [_split_index(g, idx)])
+    return (*_split_index(g, first), inside[idx])
 
 
 def _bump(stats: dict | None, key: str, amount: int = 1) -> None:
@@ -219,17 +270,20 @@ def _bump(stats: dict | None, key: str, amount: int = 1) -> None:
         stats[key] = stats.get(key, 0) + amount
 
 
-def _flat_cert(
-    which: str, table: list[int], degrees: DegreeSpec, stats: dict | None
-) -> ViolationCert | None:
-    """Decide a flat ``x | y << n_s`` table against the degree total: None when
-    its maximum is at most gamma, else the first maximiser's certificate."""
-    _bump(stats, "ineq_evals", len(table))
-    lhs, idx = _table_argmax(table)
+def _pair_cert(which: str, lhs: int, idx: int, degrees: DegreeSpec) -> ViolationCert | None:
+    """None when ``lhs`` is at most gamma, else the certificate of ``idx = x | y << n_s``."""
     if lhs <= degrees.gamma:
         return None
     x, y = _split_index(degrees.grounds, idx)
     return ViolationCert(which, x=x, y=y, lhs=lhs, rhs=degrees.gamma)
+
+
+def _flat_cert(
+    which: str, table: list[int], degrees: DegreeSpec, stats: dict | None
+) -> ViolationCert | None:
+    """Decide a flat ``x | y << n_s`` table against the degree total."""
+    _bump(stats, "ineq_evals", len(table))
+    return _pair_cert(which, *_table_argmax(table), degrees)
 
 
 def _require_full_degrees(degrees: DegreeSpec | None) -> DegreeSpec:
@@ -245,7 +299,9 @@ def check_ore(g0: Bigraph, degrees: DegreeSpec, stats: dict | None = None) -> Vi
     degrees = _require_full_degrees(degrees)
     if degrees.grounds != g0.grounds:
         raise InstanceError("degree specification lives on different ground sets")
-    return _flat_cert("ore", _ore_table(g0, degrees), degrees, stats)
+    _bump(stats, "ineq_evals", 1 << g0.grounds.n_v)
+    best = _separable_argmax(degrees.m_s, degrees.m_t, g0.s_adj, g0.t_adj)
+    return _pair_cert("ore", *best, degrees)
 
 
 def _packing_tables(inst: Instance) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -269,7 +325,7 @@ def _packing_tables(inst: Instance) -> tuple[list[int], list[list[int]], list[li
     rank = inst.matroid_s.rank
     xs = range(1 << g.n_s)
     nbr0 = union_table(inst.initial.t_adj)
-    gain = [d - rank[x | nb] for d, nb in zip(inst.demand.values, nbr0) for x in xs]
+    gain = list(_part_terms(inst.demand.values, nbr0, rank))
     positive = {idx >> g.n_s for idx, v in enumerate(gain) if v > 0} - {0}
     # every positive part's gains, and a 0/1 row of the x it helps
     rows = {p: gain[p << g.n_s:(p + 1) << g.n_s] for p in positive}
@@ -338,7 +394,7 @@ def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | Non
     gain, best, count = _packing_tables(inst)
     inside = [v for row in best for v in row]  # flat over x | a << n_s
     flip = g.t_all << g.n_s  # idx ^ flip pairs (x, y) with (x, T - y)
-    base = _ore_table(inst.complement, degrees)
+    base = _cut_table(degrees.m_s, degrees.m_t, inst.complement.t_adj)
     lhs_table = [b + inside[idx ^ flip] for idx, b in enumerate(base)]
     _bump(stats, "ineq_evals", sum(map(sum, count)))
     lhs, idx = _table_argmax(lhs_table)
@@ -375,8 +431,7 @@ def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | 
         return ViolationCert("ms_only_degree", x=1 << i, lhs=worst, rhs=g.n_t)
     gamma = degrees.gamma
     gain, best, count = _packing_tables(inst)
-    s_sums, _ = _degree_rows(degrees)
-    lhs_table = list(map(add, s_sums, best[g.t_all]))
+    lhs_table = list(map(add, subset_sums(degrees.m_s), best[g.t_all]))
     _bump(stats, "ineq_evals", sum(count[g.t_all]))
     lhs, x = _table_argmax(lhs_table)
     if lhs <= gamma:
@@ -390,7 +445,8 @@ def check_fully(inst: Instance, stats: dict | None = None) -> ViolationCert | No
 
     Requires the plain degree condition plus a single-part version of the
     subpartition condition; equivalent to the general condition for fully
-    supermodular demands.
+    supermodular demands.  The best y beside the part t0 takes every positive
+    gain outside it: one flat table over x and T - t0.
     """
     degrees = _require_full_degrees(inst.degrees)
     if inst.demand is None:
@@ -405,63 +461,35 @@ def check_fully(inst: Instance, stats: dict | None = None) -> ViolationCert | No
     nbr0 = union_table(inst.initial.t_adj)
     dem = inst.demand.values
     rank = inst.matroid_s.rank
-    xs = range(1 << g.n_s)
-    # part[x | t0 << n_s] = dem(t0) - r(x + N0(t0)); a subset-max over the T
-    # bits turns it into the best single part inside each T-mask
-    part: list[int] = []
-    for d, nb in zip(dem, nbr0):
-        part += [d - rank[x | nb] for x in xs]
-    _subset_max(part, range(g.n_s, g.n_v))
-    flip = g.t_all << g.n_s  # idx ^ flip pairs (x, y) with (x, T - y)
-    base = _ore_table(inst.complement, degrees)
-    lhs_table = [b + part[idx ^ flip] for idx, b in enumerate(base)]
+    inside, cols = _inside_table(degrees, inst.complement)
+    # entry x | a << n_s: the part t0 = T - a beside the best y <= a
+    table = list(map(add, inside, _part_terms(dem[::-1], nbr0[::-1], rank)))
     _bump(stats, "ineq_evals", 3 ** g.n_t << g.n_s)
-    lhs, idx = _table_argmax(lhs_table)
+    lhs = max(table)
     if lhs <= gamma:
         return None
-    x, y = _split_index(g, idx)
+    x, y, base = _first_inner_pair(g, table, lhs, inside, cols)
     t0 = _first_attaining(
-        lhs,
-        ((base[idx] + dem[t0] - rank[x | nbr0[t0]], t0) for t0 in submasks(g.t_all ^ y)),
+        lhs, ((base + dem[t0] - rank[x | nbr0[t0]], t0) for t0 in submasks(g.t_all ^ y))
     )
     parts = (t0,) if t0 else ()
     return ViolationCert("fully", x=x, y=y, parts=parts, lhs=lhs, rhs=gamma)
 
 
-def _product_table(degrees: DegreeSpec, extra_row=None) -> list[int]:
-    """sum_s(x) + sum_t(y) - |x||y|, flat over ``x | y << n_s``.
-
-    That is the cut-condition table of the complete host graph.  When given,
-    ``extra_row(y)`` is a list over S-masks added to the row of ``y``.
-    """
-    g = degrees.grounds
-    s_sums, sizes = _degree_rows(degrees)
-    table: list[int] = []
-    for y in range(1 << g.n_t):
-        ty, ny = degrees.sum_t(y), y.bit_count()
-        row = [s + ty - nx * ny for s, nx in zip(s_sums, sizes)]
-        if extra_row is not None:
-            row = list(map(add, row, extra_row(y)))
-        table += row
-    return table
-
-
 def check_ore0(degrees: DegreeSpec, stats: dict | None = None) -> ViolationCert | None:
     """Realizability of a degree pair by a simple bigraph (complete host)."""
     degrees = _require_full_degrees(degrees)
-    return _flat_cert("ore0", _product_table(degrees), degrees, stats)
+    _bump(stats, "ineq_evals", 1 << degrees.grounds.n_v)
+    best = _separable_argmax(degrees.m_s, degrees.m_t, *_complete_adj(degrees.grounds))
+    return _pair_cert("ore0", *best, degrees)
 
 
 def ryser_table(degrees: DegreeSpec, ell: int) -> list[int]:
     """The classic term-rank condition's left-hand side, flat over ``x | y << n_s``:
-    sum_s(x) + sum_t(y) - |x||y| + ell - |x| - |y|."""
-    s_sums, sizes = _degree_rows(degrees)
-    table: list[int] = []
-    for y in range(1 << degrees.grounds.n_t):
-        ny = y.bit_count()
-        row_const = degrees.sum_t(y) - ny + ell
-        table += [s - nx * (ny + 1) + row_const for s, nx in zip(s_sums, sizes)]
-    return table
+    sum_s(x) + sum_t(y) - |x||y| + ell - |x| - |y|.  The literal form behind
+    the harness's ``ryser_prefix`` cross-check; ``check_ryser`` builds no table."""
+    less = [m - 1 for m in degrees.m_s], [m - 1 for m in degrees.m_t]
+    return [v + ell for v in _cut_table(*less, _complete_adj(degrees.grounds)[1])]
 
 
 def ryser_prefix_max(degrees: DegreeSpec, ell: int) -> int:
@@ -486,14 +514,17 @@ def check_ryser(degrees: DegreeSpec, ell: int, stats: dict | None = None) -> Vio
     """Classic max term rank condition for a degree pair and matching target.
 
     Raises a precondition error when the degree pair is not realizable at
-    all.  Decides by the full quantification over subset pairs; the
-    sorted-prefix reduction (``ryser_prefix_max``) is not evaluated here.
+    all.  The left-hand side is ``check_ore0``'s with degrees one lower, plus
+    ell; the sorted-prefix reduction (``ryser_prefix_max``) is not evaluated.
     """
     degrees = _require_full_degrees(degrees)
     g = degrees.grounds
     if not 0 <= ell <= g.n_t:
         raise InstanceError(f"matching target {ell} out of range for |T| = {g.n_t}")
-    cert = _flat_cert("ryser", ryser_table(degrees, ell), degrees, stats)
+    _bump(stats, "ineq_evals", 1 << g.n_v)
+    less = [m - 1 for m in degrees.m_s], [m - 1 for m in degrees.m_t]
+    lhs, idx = _separable_argmax(*less, *_complete_adj(g))
+    cert = _pair_cert("ryser", lhs + ell, idx, degrees)
     ore0 = check_ore0(degrees, stats)
     if ore0 is not None:
         raise PreconditionError("degree pair is not realizable by any simple bigraph", ore0)
@@ -524,21 +555,16 @@ def check_brualdi(
     """Existence of a matching covering bases of both matroids.
 
     Decided over every vertex cover: the rank sum must reach the common rank.
-    The equivalent neighborhood-rank form is not evaluated here.
+    Ranks are monotone, so beside each yp the least cover N(T - yp) is the
+    first best xp.  The equivalent neighborhood-rank form is not evaluated here.
     """
-    g = graph.grounds
     ell = common_rank(graph, matroid_s, matroid_t)
-    needed = _forced_table(graph.s_adj)
-    # -r_S(xp) - r_T(yp) over xp | yp << n_s; _NEG where (xp, yp) misses an edge
-    table = [_NEG if nd & ~yp else -rs - rt
-             for yp, rt in enumerate(matroid_t.rank) for rs, nd in zip(matroid_s.rank, needed)]
-    _bump(stats, "ineq_evals", len(table) - table.count(_NEG))
-    best, idx = _table_argmax(table)
-    lhs = ell + best
-    if lhs <= 0:
+    forced = _forced_table(graph.t_adj)
+    _bump(stats, "ineq_evals", sum(1 << (graph.grounds.n_s - f.bit_count()) for f in forced))
+    best, yp = _table_argmax([-matroid_s.rank[f] - rt for f, rt in zip(forced, matroid_t.rank)])
+    if ell + best <= 0:
         return None
-    xp, yp = _split_index(g, idx)
-    return ViolationCert("brualdi", xp=xp, yp=yp, lhs=lhs, rhs=0)
+    return ViolationCert("brualdi", xp=forced[yp], yp=yp, lhs=ell + best, rhs=0)
 
 
 def _resolve_common_rank(inst: Instance) -> int:
@@ -558,62 +584,37 @@ def _resolve_common_rank(inst: Instance) -> int:
     return rs
 
 
-def _best_outer(initial: Bigraph, rank_s, rank_t) -> tuple[list[int], int]:
-    """Max of -r_S(xp) - r_T(yp) over x <= xp, y <= yp with (xp, yp) covering
-    the initial edges, flat over ``x | y << n_s``, and the number of such (x, y, xp, yp).
-
-    Ranks are monotone, so the best yp for xp above y is y | N(S - xp), and the
-    best xp for yp above x is x | N(T - yp).  The larger class is folded so and
-    a superset-max over the smaller class's bits picks the other outer set.
-    Each xp has 2^|xp| sets x below it and 2^|N| 3^(|T| - |N|) pairs y <= yp
-    with N = N(S - xp) <= yp.
-    """
-    g = initial.grounds
-    needed = _forced_table(initial.s_adj)
-    count = sum(
-        (1 << (xp.bit_count() + nd.bit_count())) * 3 ** (g.n_t - nd.bit_count())
-        for xp, nd in enumerate(needed)
-    )
-    if g.n_s <= g.n_t:
-        outer = [-rs - rank_t[y | nd] for y in range(1 << g.n_t) for rs, nd in zip(rank_s, needed)]
-        _superset_max(outer, range(g.n_s))
-    else:
-        forced = _forced_table(initial.t_adj)
-        xs = range(1 << g.n_s)
-        outer = [-rank_s[x | f] - rank_t[yp] for yp, f in enumerate(forced) for x in xs]
-        _superset_max(outer, range(g.n_s, g.n_v))
-    return outer, count
-
-
 def _nested_pair_cert(
-    inst: Instance,
-    which: str,
-    degrees: DegreeSpec,
-    ell: int,
-    rank_s,
-    rank_t,
-    stats: dict | None,
+    inst: Instance, which: str, degrees: DegreeSpec, ell: int, rank_s, rank_t, stats: dict | None
 ) -> ViolationCert | None:
-    """The nested-pair condition shared by the matroidal and uniform term-rank forms.
+    """The cut condition, then the nested pairs of both term-rank forms.
 
     lhs(x, y, xp, yp) = sum_s(x) + sum_t(y) - cut(x, y) + ell - r_S(xp) - r_T(yp)
-    over x <= xp, y <= yp with (xp, yp) covering the initial edges.  The
-    monotone fold of ``_best_outer`` gives, for every (x, y), the best outer
-    pair above it: O(2^n min(|S|, |T|)) instead of 3^n.
+    over x <= xp, y <= yp with (xp, yp) covering the initial edges.  Ranks are
+    monotone, so for fixed (x, yp) the best xp is x + N0(T - yp): one flat
+    table over ``x | yp << n_s``.  ``ineq_evals`` counts the quadruples: each
+    xp has 2^|xp| sets x below it and 2^|N| 3^(|T| - |N|) pairs y <= yp with
+    N = N0(S - xp) <= yp.
     """
+    ore = check_ore(inst.complement, degrees, stats=stats)
+    if ore is not None:
+        return ore
     g = inst.grounds
     gamma = degrees.gamma
-    outer, count = _best_outer(inst.initial, rank_s, rank_t)
-    _bump(stats, "ineq_evals", count)
-    base = _ore_table(inst.complement, degrees)
-    lhs, idx = _table_argmax(list(map(add, base, outer)))
-    lhs += ell
+    needed = _forced_table(inst.initial.s_adj)
+    weight = [3 ** (g.n_t - k) << k for k in range(g.n_t + 1)]  # the pairs y <= yp, by |N|
+    _bump(stats, "ineq_evals", sum(
+        (1 << xp.bit_count()) * weight[nd.bit_count()] for xp, nd in enumerate(needed)
+    ))
+    inside, cols = _inside_table(degrees, inst.complement)
+    forced = _forced_table(inst.initial.t_adj)  # N0(T - yp), which xp must hold
+    table = list(map(add, inside, _part_terms([ell - rt for rt in rank_t], forced, rank_s)))
+    lhs = max(table)
     if lhs <= gamma:
         return None
-    x, y = _split_index(g, idx)
-    needed = _forced_table(inst.initial.s_adj)
+    x, y, base = _first_inner_pair(g, table, lhs, inside, cols)
     xp, yp = _first_attaining(lhs, (
-        (base[idx] + ell - rank_s[xp] - rank_t[yp], (xp, yp))
+        (base + ell - rank_s[xp] - rank_t[yp], (xp, yp))
         for yp in supermasks(y, g.t_all)
         for xp in supermasks(x, g.s_all)
         if not needed[xp] & ~yp
@@ -630,9 +631,6 @@ def check_ryser_gen(inst: Instance, stats: dict | None = None) -> ViolationCert 
     """
     degrees = _require_full_degrees(inst.degrees)
     ell = _resolve_common_rank(inst)
-    ore = check_ore(inst.complement, degrees, stats=stats)
-    if ore is not None:
-        return ore
     return _nested_pair_cert(
         inst, "ryser_gen", degrees, ell, inst.matroid_s.rank, inst.matroid_t.rank, stats
     )
@@ -650,17 +648,11 @@ def corank_instance(inst: Instance) -> Instance:
     )
 
 
-def check_ryser_novel(
-    inst: Instance, ell: int, stats: dict | None = None
-) -> ViolationCert | None:
+def check_ryser_novel(inst: Instance, ell: int, stats: dict | None = None) -> ViolationCert | None:
     """Uniform-matroid specialization: ranks replaced by plain cardinalities."""
     degrees = _require_full_degrees(inst.degrees)
-    ore = check_ore(inst.complement, degrees, stats=stats)
-    if ore is not None:
-        return ore
     g = inst.grounds
-    sizes_s = [xp.bit_count() for xp in range(1 << g.n_s)]
-    sizes_t = [yp.bit_count() for yp in range(1 << g.n_t)]
+    sizes_s, sizes_t = subset_sums([1] * g.n_s), subset_sums([1] * g.n_t)
     return _nested_pair_cert(inst, "ryser_novel", degrees, ell, sizes_s, sizes_t, stats)
 
 
@@ -678,8 +670,9 @@ def _synthesis_cert(
         raise InstanceError("rank mismatch between the two matroids")
     ell = matroid_s.full_rank
     rank_s, rank_t = matroid_s.rank, matroid_t.rank
-    table = _product_table(degrees, lambda y: [max(ell - r - rank_t[y], floor) for r in rank_s])
-    return _flat_cert(which, table, degrees, stats)
+    slack = [max(ell - r - rt, floor) for rt in rank_t for r in rank_s]
+    table = _cut_table(degrees.m_s, degrees.m_t, _complete_adj(g)[1])
+    return _flat_cert(which, list(map(add, table, slack)), degrees, stats)
 
 
 def check_ryser_matroid(
@@ -717,11 +710,12 @@ def check_csak_mon(inst: Instance, stats: dict | None = None) -> ViolationCert |
     ore0 = check_ore0(degrees, stats)
     if ore0 is not None:
         return ore0
-    t_all = inst.grounds.t_all
     dem = inst.demand.values
     rank = inst.matroid_s.rank
-    table = _product_table(degrees, lambda y: [dem[t_all ^ y] - r for r in rank])
-    return _flat_cert("csak_mon", table, degrees, stats)
+    table = _cut_table(degrees.m_s, degrees.m_t, _complete_adj(inst.grounds)[1])
+    # the part T - y beside y, with no initial edges
+    part = _part_terms(dem[::-1], [0] * len(dem), rank)
+    return _flat_cert("csak_mon", list(map(add, table, part)), degrees, stats)
 
 
 def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:
@@ -734,15 +728,13 @@ def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:
     which = cert.which
     g = inst.grounds
     deg = inst.degrees
+    nx, ny = cert.x.bit_count(), cert.y.bit_count()
     if which in ("ore", "msmt", "fully", "ryser_gen", "ryser_novel"):
-        g0 = inst.complement
-        base = deg.sum_s(cert.x) + deg.sum_t(cert.y) - cut_count(g0, cert.x, cert.y)
-    if which == "ore":
+        base = deg.sum_s(cert.x) + deg.sum_t(cert.y) - cut_count(inst.complement, cert.x, cert.y)
+    elif which in ("ore0", "ryser", "ryser_matroid", "integrated", "csak_mon"):
+        base = deg.sum_s(cert.x) + deg.sum_t(cert.y) - nx * ny  # the complete host
+    if which in ("ore", "ore0"):
         return base
-    if which == "ore0":
-        return (
-            deg.sum_s(cert.x) + deg.sum_t(cert.y) - cert.x.bit_count() * cert.y.bit_count()
-        )
     if which in ("msmt", "ms_only"):
         total = 0
         seen = 0
@@ -763,20 +755,10 @@ def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:
         gamma_nbr = cert.x | neighborhood(inst.initial, t0)
         return base + inst.demand.value(t0) - inst.matroid_s.rank_of(gamma_nbr)
     if which == "ryser":
-        nx, ny = cert.x.bit_count(), cert.y.bit_count()
-        return deg.sum_s(cert.x) + deg.sum_t(cert.y) - nx * ny + (inst.target_rank - nx - ny)
-    if which == "ryser_matroid":
-        nx, ny = cert.x.bit_count(), cert.y.bit_count()
-        ell = inst.matroid_s.full_rank
-        return (
-            deg.sum_s(cert.x) + deg.sum_t(cert.y) - nx * ny
-            + ell - inst.matroid_s.rank_of(cert.x) - inst.matroid_t.rank_of(cert.y)
-        )
-    if which == "integrated":
-        nx, ny = cert.x.bit_count(), cert.y.bit_count()
-        ell = inst.matroid_s.full_rank
-        slack = ell - inst.matroid_s.rank_of(cert.x) - inst.matroid_t.rank_of(cert.y)
-        return deg.sum_s(cert.x) + deg.sum_t(cert.y) - nx * ny + max(slack, 0)
+        return base + inst.target_rank - nx - ny
+    if which in ("ryser_matroid", "integrated"):
+        slack = inst.matroid_s.full_rank - inst.matroid_s.rank_of(cert.x) - inst.matroid_t.rank_of(cert.y)
+        return base + (slack if which == "ryser_matroid" else max(slack, 0))
     if which == "brualdi":
         ell = inst.matroid_s.full_rank
         for s, t in inst.initial.edges:
@@ -795,9 +777,5 @@ def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:
         ell = inst.target_rank
         return base + ell - cert.xp.bit_count() - cert.yp.bit_count()
     if which == "csak_mon":
-        nx, ny = cert.x.bit_count(), cert.y.bit_count()
-        return (
-            deg.sum_s(cert.x) + deg.sum_t(cert.y) - nx * ny
-            + inst.demand.value(g.t_all ^ cert.y) - inst.matroid_s.rank_of(cert.x)
-        )
+        return base + inst.demand.value(g.t_all ^ cert.y) - inst.matroid_s.rank_of(cert.x)
     raise InstanceError(f"unknown certificate kind {which!r}")

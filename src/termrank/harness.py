@@ -380,11 +380,16 @@ def _check_certificate(cert, inst: Instance, counters: dict, problems: list[str]
 
 
 def ryser_prefix(inst: Instance, result, stats: dict | None) -> None:
-    """The classic term-rank table's maximum equals its sorted-prefix maximum."""
+    """The classic term-rank table's maximum equals its sorted-prefix maximum and
+    a violating result's lhs; None, which also means "no decision", is not compared."""
     full = max(ryser_table(inst.degrees, inst.target_rank))
     prefix = ryser_prefix_max(inst.degrees, inst.target_rank)
     if prefix != full:
         raise AssertionError(f"prefix reduction disagrees with full quantification: {prefix} vs {full}")
+    if isinstance(result, ViolationCert) and result.lhs != full:
+        raise AssertionError(
+            f"separable maximum disagrees with full quantification: {result.lhs} vs {full}"
+        )
 
 
 def brualdi_forms(inst: Instance, result, stats: dict | None) -> None:
@@ -693,17 +698,17 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
     if general != gen:
         problems.append(f"nested-pair {gen} vs demand-lift condition {general}")
     if initial.edge_count == 0:
-        ryser_prefix(inst, None, None)
         try:
-            classic = check_ryser(degrees, ell) is None
+            cert = check_ryser(degrees, ell)
         except PreconditionError:
-            classic = None
-        if classic is None:
+            ryser_prefix(inst, None, None)
             ore_fail = check_ore(inst.complement, degrees) is not None
             if not ore_fail or gen:
                 problems.append("classic precondition failed but the general form passed")
-        elif classic != gen:
-            problems.append(f"nested-pair {gen} vs classic term-rank form {classic}")
+        else:
+            ryser_prefix(inst, cert, None)
+            if (cert is None) != gen:
+                problems.append(f"nested-pair {gen} vs classic term-rank form {cert is None}")
     result = solve_term_rank_checked(inst, counters, problems)
     if gen != (result is not None):
         problems.append("solver feasibility disagrees with the condition")

@@ -141,6 +141,14 @@ def _parse_int(value, field: str) -> int:
     return value
 
 
+def _in_field(field: str, parse, *args):
+    """``parse(*args)``, with an input error's message led by the field it came from."""
+    try:
+        return parse(*args)
+    except InstanceError as exc:
+        raise InstanceError(f"{field}: {exc}") from exc
+
+
 def _reject_extra(data: dict, allowed: set[str], path: str) -> None:
     extra = set(data) - allowed
     if extra:
@@ -193,7 +201,7 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
     _reject_extra(data, {"mode", "S", "T", "h0", *spec.fields.split()}, "instance")
 
     grounds = GroundSets(_parse_ids(data, "S"), _parse_ids(data, "T"))
-    initial = Bigraph.from_names(grounds, data.get("h0", []))
+    initial = _in_field("h0", Bigraph.from_names, grounds, data.get("h0", []))
     if not initial.simple:
         raise InstanceError("h0: initial graph must be simple")
     if not spec.h0_edges and initial.edge_count:
@@ -203,7 +211,7 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
     if "m_S" in data:
         m_s = _parse_degrees(data, "m_S", grounds.s_ids)
         m_t = _parse_degrees(data, "m_T", grounds.t_ids) if "m_T" in data else None
-        degrees = DegreeSpec(grounds, m_s, m_t)
+        degrees = _in_field("m_S/m_T", DegreeSpec, grounds, m_s, m_t)
     if spec.degrees == "both" and (degrees is None or degrees.m_t is None):
         raise InstanceError(f"m_S/m_T: mode {mode!r} needs degrees on both classes")
     if spec.degrees == "left" and degrees is None:
@@ -211,10 +219,10 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
 
     matroid_s = None
     if "matroid_S" in data:
-        matroid_s = matroid_from_descriptor(grounds.s_ids, data["matroid_S"])
+        matroid_s = _in_field("matroid_S", matroid_from_descriptor, grounds.s_ids, data["matroid_S"])
     matroid_t = None
     if "matroid_T" in data:
-        matroid_t = matroid_from_descriptor(grounds.t_ids, data["matroid_T"])
+        matroid_t = _in_field("matroid_T", matroid_from_descriptor, grounds.t_ids, data["matroid_T"])
     demand = None
     if "demand" in data:
         demand = setfunction_from_json(data["demand"])

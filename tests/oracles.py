@@ -181,7 +181,7 @@ def naive_subgraph_exists(
 
 
 # ---------------------------------------------------------------------------
-# literal quantifier scans: the pre-transform enumerations of the checkers,
+# literal quantifier scans: the plain enumerations of the checkers' families,
 # kept as oracles for the table-max core.  Each family is walked in the
 # documented order (right subsets ascending, then left subsets, then inner
 # sets ascending) and only a strictly larger left-hand side replaces the
@@ -213,9 +213,11 @@ def _host_cut(inst):
 
 
 def _ore_lhs(inst):
-    deg = inst.degrees
+    deg, g = inst.degrees, inst.grounds
     cut = _host_cut(inst)
-    return lambda x, y: _mask_sum(deg.m_s, x) + _mask_sum(deg.m_t, y) - cut(x, y)
+    s_sums = [_mask_sum(deg.m_s, x) for x in range(1 << g.n_s)]
+    t_sums = [_mask_sum(deg.m_t, y) for y in range(1 << g.n_t)]
+    return lambda x, y: s_sums[x] + t_sums[y] - cut(x, y)
 
 
 def _pairs(g):
@@ -234,31 +236,48 @@ def literal_ore(inst):
 
 def literal_fully(inst):
     """The fully supermodular condition by its triple loop over (y, x, t0)."""
+    return literal_fully_counted(inst)[0]
+
+
+def literal_fully_counted(inst):
+    """``literal_fully`` with the number of inequalities walked: the 2^n pairs
+    of the cut condition, then, when it holds, every triple (x, y, t0)."""
     ore = literal_ore(inst)
-    if ore is not None:
-        return ore
     g = inst.grounds
+    evals = 1 << (g.n_s + g.n_t)
+    if ore is not None:
+        return ore, evals
     lhs_of = _ore_lhs(inst)
     rank, dem = inst.matroid_s.rank, inst.demand.values
-    edges = inst.initial.edges
+    # the initial neighbourhood of every right set, edge by edge
+    nbr = [0] * (1 << g.n_t)
+    for t0 in range(1 << g.n_t):
+        for s, t in inst.initial.edges:
+            if t0 >> t & 1:
+                nbr[t0] |= 1 << s
 
-    def family():
-        for x, y in _pairs(g):
-            base = lhs_of(x, y)
-            for t0 in range(1 << g.n_t):
-                if t0 & y:
-                    continue
-                nbr = 0
-                for s, t in edges:
-                    if t0 >> t & 1:
-                        nbr |= 1 << s
-                yield base + dem[t0] - rank[x | nbr], (x, y, t0)
-
-    lhs, (x, y, t0) = _first_max(family())
+    # the right sets outside each y, ascending
+    outside = []
+    for y in range(1 << g.n_t):
+        rest, t0 = (1 << g.n_t) - 1 - y, 0
+        outside.append([0])
+        while t0 != rest:
+            t0 = (t0 - rest) & rest
+            outside[-1].append(t0)
+    best = None
+    for x, y in _pairs(g):
+        base = lhs_of(x, y)
+        # the inequalities of (x, y) in scan order; the first largest one counts
+        row = [base + dem[t0] - rank[x | nbr[t0]] for t0 in outside[y]]
+        evals += len(row)
+        top = max(row)
+        if best is None or top > best[0]:
+            best = (top, (x, y, outside[y][row.index(top)]))
+    lhs, (x, y, t0) = best
     gamma = inst.degrees.gamma
     if lhs <= gamma:
-        return None
-    return ViolationCert("fully", x=x, y=y, parts=(t0,) if t0 else (), lhs=lhs, rhs=gamma)
+        return None, evals
+    return ViolationCert("fully", x=x, y=y, parts=(t0,) if t0 else (), lhs=lhs, rhs=gamma), evals
 
 
 def nested_pair_family(inst, ell, rank_s, rank_t):
@@ -321,6 +340,85 @@ def literal_best_outer(inst, rank_s, rank_t):
             if not m & bit and table[m | bit] > table[m]:
                 table[m] = table[m | bit]
     return table, count
+
+
+def tabled_nested_pair(inst, which, ell, rank_s, rank_t):
+    """``literal_nested_pair`` from the unfolded tables, fast enough for the
+    cap, with the number of inequalities behind it.
+
+    The cut condition's table plus ``literal_best_outer`` gives every (x, y)
+    its best nested left-hand side; the first maximum is the certificate's
+    (x, y), and its outer pair is the first covering (xp, yp) above it, yp
+    then xp ascending, that attains it.
+    """
+    g = inst.grounds
+    gamma = inst.degrees.gamma
+    ore_table = literal_ore_table(inst)
+    evals = len(ore_table)
+    lhs = max(ore_table)
+    idx = ore_table.index(lhs)
+    x, y = idx % (1 << g.n_s), idx >> g.n_s
+    if lhs > gamma:  # the cut condition fails first
+        return ViolationCert("ore", x=x, y=y, lhs=lhs, rhs=gamma), evals
+    outer, count = literal_best_outer(inst, rank_s, rank_t)
+    evals += count
+    table = [a + b + ell for a, b in zip(ore_table, outer)]
+    lhs = max(table)
+    if lhs <= gamma:
+        return None, evals
+    idx = table.index(lhs)
+    x, y = idx % (1 << g.n_s), idx >> g.n_s
+    for yp in range(1 << g.n_t):
+        for xp in range(1 << g.n_s):
+            if xp & x != x or yp & y != y:
+                continue
+            if any(not (xp >> s & 1 or yp >> t & 1) for s, t in inst.initial.edges):
+                continue
+            if ore_table[idx] + ell - rank_s[xp] - rank_t[yp] == lhs:
+                cert = ViolationCert(which, x=x, y=y, xp=xp, yp=yp, lhs=lhs, rhs=gamma)
+                return cert, evals
+    raise AssertionError("no outer pair attains the table maximum")
+
+
+def literal_brualdi(graph, ms, mt):
+    """The vertex-cover condition by its pair loop, with the number of covers."""
+    ell = ms.rank[-1]
+    family = [
+        (ell - ms.rank[xp] - mt.rank[yp], (xp, yp))
+        for xp, yp in _pairs(graph.grounds)
+        if all(xp >> s & 1 or yp >> t & 1 for s, t in graph.edges)
+    ]
+    lhs, (xp, yp) = _first_max(family)
+    cert = None if lhs <= 0 else ViolationCert("brualdi", xp=xp, yp=yp, lhs=lhs, rhs=0)
+    return cert, len(family)
+
+
+def _complete_host_scan(which, degrees, extra):
+    """First maximiser over every (x, y) of sum_s(x) + sum_t(y) - |x||y| plus
+    ``extra(|x|, |y|)``, and the number of pairs walked."""
+    g = degrees.grounds
+    s_sums = [_mask_sum(degrees.m_s, x) for x in range(1 << g.n_s)]
+    t_sums = [_mask_sum(degrees.m_t, y) for y in range(1 << g.n_t)]
+
+    def family():
+        for x, y in _pairs(g):
+            nx, ny = bin(x).count("1"), bin(y).count("1")
+            yield s_sums[x] + t_sums[y] - nx * ny + extra(nx, ny), (x, y)
+
+    lhs, (x, y) = _first_max(family())
+    gamma = degrees.gamma
+    cert = None if lhs <= gamma else ViolationCert(which, x=x, y=y, lhs=lhs, rhs=gamma)
+    return cert, len(s_sums) * len(t_sums)
+
+
+def literal_ore0(degrees):
+    """``ore0`` by its pair loop: the cut condition of the complete host."""
+    return _complete_host_scan("ore0", degrees, lambda nx, ny: 0)
+
+
+def literal_ryser(degrees, ell):
+    """The classic term-rank condition by its pair loop (no realizability test)."""
+    return _complete_host_scan("ryser", degrees, lambda nx, ny: ell - nx - ny)
 
 
 def set_partitions(mask: int):

@@ -33,7 +33,7 @@ from termrank.cover import (
     minimalize_cover,
     solve_term_rank,
 )
-from termrank.errors import InfeasibleError, InstanceError, PreconditionError
+from termrank.errors import InfeasibleError, InstanceError, PreconditionError, TermrankError
 from termrank.feasibility import Instance, ViolationCert, check_brualdi, check_msmt
 from termrank.harness import (
     FuzzConfig,
@@ -89,6 +89,20 @@ def test_independent_family_longer_than_the_recursion_limit():
     k = 1200
     value, fam = _max_independent_family([mask] * k, [1] * k, g.s_all, g.t_all << g.n_s)
     assert (value, fam) == (k, (mask,) * k)
+
+
+def test_independent_family_search_stops_at_its_state_budget(monkeypatch):
+    # 20 pairwise independent copies: a chain of 20 states beside the empty one
+    g = grounds(2, 2)
+    mask = g.v_mask(g.s_all, 0b01)
+    args = ([mask] * 20, [1] * 20, g.s_all, g.t_all << g.n_s)
+    monkeypatch.setattr(cover_module, "FAMILY_STATE_BUDGET", 21)
+    assert _max_independent_family(*args)[0] == 20
+    monkeypatch.setattr(cover_module, "FAMILY_STATE_BUDGET", 20)
+    with pytest.raises(
+        TermrankError, match="^independent family search exceeded its budget of 20 memo states$"
+    ):
+        _max_independent_family(*args)
 
 
 def test_min_cover_trivial_zero_demand():

@@ -246,6 +246,18 @@ def test_integrated_split_catches_a_broken_side(monkeypatch):
         harness.integrated_split(inst, check_integrated(FEASIBLE, inst.matroid_s, inst.matroid_t), None)
 
 
+def test_ryser_prefix_compares_a_violating_result_with_the_table():
+    infeasible, feasible = term_rank(INFEASIBLE), term_rank(FEASIBLE)
+    cert = check_ryser(INFEASIBLE, 3)
+    harness.ryser_prefix(infeasible, cert, None)
+    message = "^separable maximum disagrees with full quantification: {} vs {}$"
+    with pytest.raises(AssertionError, match=message.format(4, 5)):
+        harness.ryser_prefix(infeasible, ViolationCert("ryser", lhs=4, rhs=4), None)
+    # a violation where the table holds
+    with pytest.raises(AssertionError, match=message.format(5, 4)):
+        harness.ryser_prefix(feasible, ViolationCert("ryser", lhs=5, rhs=4), None)
+
+
 def test_lift_crossing_catches_a_broken_side(monkeypatch):
     _mode, inst = load_instance(body("msmt"))
     base = setfun.base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)

@@ -135,7 +135,7 @@ ADDED_FIELD_ERRORS = {
     ("ore", "matroid_T"): "instance: unknown fields ['matroid_T']",
     ("ore", "demand"): "instance: unknown fields ['demand']",
     ("ore", "target_rank"): "instance: unknown fields ['target_rank']",
-    ("msmt", "matroid_T"): "matroid descriptor must be an object with a 'kind' field",
+    ("msmt", "matroid_T"): "matroid_T: matroid descriptor must be an object with a 'kind' field",
     ("msmt", "target_rank"): "instance: unknown fields ['target_rank']",
     ("ms_only", "m_T"): "instance: unknown fields ['m_T']",
     ("ms_only", "demand"): "demand: needs 'ground' and 'values'",
@@ -264,85 +264,126 @@ def with_fields(mode: str, **changes) -> dict:
     return data
 
 
+def in_field(field: str | None, message: str) -> str:
+    """The error a case expects: the message of the parser that failed, led by
+    the input field it was parsing unless the message already names it."""
+    return message if field is None else f"{field}: {message}"
+
+
+# (instance, the field a descriptor parser failed on or None, the message);
+# the message names the case
 STRICT_INTEGER_CASES = [
-    (with_fields("ore", m_S={"s1": 1.9, "s2": True}), "m_S['s1']: not an integer"),
-    (with_fields("ore", m_S={"s1": 1, "s2": True}), "m_S['s2']: not an integer"),
-    (with_fields("ore", m_T={"t1": 1, "t2": "1"}), "m_T['t2']: not an integer"),
-    (with_fields("ryser", target_rank="2"), "target_rank: not an integer"),
-    (with_fields("brualdi", target_rank=1.0), "target_rank: not an integer"),
+    (with_fields("ore", m_S={"s1": 1.9, "s2": True}), None, "m_S['s1']: not an integer"),
+    (with_fields("ore", m_S={"s1": 1, "s2": True}), None, "m_S['s2']: not an integer"),
+    (with_fields("ore", m_T={"t1": 1, "t2": "1"}), None, "m_T['t2']: not an integer"),
+    (with_fields("ryser", target_rank="2"), None, "target_rank: not an integer"),
+    (with_fields("brualdi", target_rank=1.0), None, "target_rank: not an integer"),
     (
         with_fields("msmt", demand={**_DEMAND, "values": {**_DEMAND["values"], "t1": 0.0}}),
-        "demand.values['t1']: not an integer",
+        None, "demand.values['t1']: not an integer",
     ),
     (
         with_fields("ms_only", matroid_T={"kind": "uniform", "k": "1"}),
-        "uniform matroid descriptor k: not an integer",
+        "matroid_T", "uniform matroid descriptor k: not an integer",
     ),
     (
         with_fields("ryser_gen", matroid_S={"kind": "partition", "blocks": [_S], "caps": [True]}),
-        "partition matroid descriptor caps[0]: not an integer",
+        "matroid_S", "partition matroid descriptor caps[0]: not an integer",
     ),
     (
         with_fields("brualdi", matroid_T={"kind": "partition", "blocks": [_T], "caps": 1}),
-        "partition matroid descriptor caps: must be a list",
+        "matroid_T", "partition matroid descriptor caps: must be a list",
     ),
 ]
 
 
-@pytest.mark.parametrize("data,message", STRICT_INTEGER_CASES, ids=[m for _, m in STRICT_INTEGER_CASES])
-def test_strict_integers(tmp_path, capsys, data, message):
-    assert load_error(data) == message
-    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {message}\n")
+@pytest.mark.parametrize(
+    "data,field,message", STRICT_INTEGER_CASES, ids=[m for _, _, m in STRICT_INTEGER_CASES]
+)
+def test_strict_integers(tmp_path, capsys, data, field, message):
+    assert load_error(data) == in_field(field, message)
+    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {in_field(field, message)}\n")
 
 
 MALFORMED_ID_LIST_CASES = [
     (
         with_fields("brualdi", matroid_S={"kind": "partition", "blocks": 5, "caps": [1]}),
-        "partition matroid descriptor blocks: must be a list of lists of string node ids",
+        "matroid_S", "partition matroid descriptor blocks: must be a list of lists of string node ids",
     ),
     (
         with_fields("brualdi", matroid_S={"kind": "partition", "blocks": [5], "caps": [1]}),
-        "partition matroid descriptor blocks[0]: must be a list of string node ids",
+        "matroid_S", "partition matroid descriptor blocks[0]: must be a list of string node ids",
     ),
     (
         with_fields("ryser_gen", matroid_T={"kind": "explicit", "bases": 5}),
-        "explicit matroid descriptor bases: must be a list of lists of string node ids",
+        "matroid_T", "explicit matroid descriptor bases: must be a list of lists of string node ids",
     ),
     (
         with_fields("ryser_gen", matroid_T={"kind": "explicit", "bases": [[["t1"]]]}),
-        "explicit matroid descriptor bases[0]: must be a list of string node ids",
+        "matroid_T", "explicit matroid descriptor bases[0]: must be a list of string node ids",
     ),
     (
         with_fields("msmt", demand={**_DEMAND, "ground": 5}),
-        "demand.ground: must be a list of string node ids",
+        None, "demand.ground: must be a list of string node ids",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "data,message", MALFORMED_ID_LIST_CASES, ids=[m for _, m in MALFORMED_ID_LIST_CASES]
+    "data,field,message", MALFORMED_ID_LIST_CASES, ids=[m for _, _, m in MALFORMED_ID_LIST_CASES]
 )
-def test_malformed_id_lists_are_input_errors(tmp_path, capsys, data, message):
-    assert load_error(data) == message
-    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {message}\n")
+def test_malformed_id_lists_are_input_errors(tmp_path, capsys, data, field, message):
+    assert load_error(data) == in_field(field, message)
+    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {in_field(field, message)}\n")
 
 
+# values the checks behind a parser reject: degree pairs, matroid descriptors
+# and edge endpoints
+FIELD_VALUE_CASES = [
+    (with_fields("ore", m_T={"t1": 2, "t2": 1}), "m_S/m_T", "degree totals differ: left 2 vs right 3"),
+    (with_fields("brualdi", matroid_S={"kind": "weird"}), "matroid_S", "unknown matroid kind 'weird'"),
+    (
+        with_fields("brualdi", matroid_T={"kind": "partition", "blocks": [_T], "caps": [-1]}),
+        "matroid_T", "partition matroid caps must be non-negative",
+    ),
+    (
+        with_fields("ryser_gen", matroid_T={"kind": "explicit", "bases": [["t1"], ["t1", "t2"]]}),
+        "matroid_T", "all bases must have the same cardinality",
+    ),
+    (
+        with_fields("ryser_gen", matroid_S={"kind": "uniform", "k": 99}),
+        "matroid_S", "uniform rank 99 out of range for ground of size 2",
+    ),
+    (with_fields("ore", h0=[["s1", "zz"]]), "h0", "edge endpoint 'zz' is not a right node"),
+]
+
+
+@pytest.mark.parametrize("data,field,message", FIELD_VALUE_CASES, ids=[m for _, _, m in FIELD_VALUE_CASES])
+def test_input_errors_name_their_field(tmp_path, capsys, data, field, message):
+    assert load_error(data) == in_field(field, message)
+    assert run_cli(tmp_path, capsys, ["check"], data) == (2, f"error: {in_field(field, message)}\n")
+
+
+# (instance, witness file or None, the field a pair parser failed on or None,
+# the message); the instance's h0 is an input field, a witness is its own file
 MALFORMED_PAIR_CASES = [
-    (with_fields("ore", h0=[5]), None, "edge 5 must be a [left, right] pair"),
-    (with_fields("ore", h0=5), None, "edges 5 must be a list of [left, right] pairs"),
-    (with_fields("ore", h0=[["s1", ["t1"]]]), None, "edge endpoint ['t1'] is not a right node"),
-    (body("ore"), {"edges": [5]}, "edge 5 must be a [left, right] pair"),
-    (body("ryser"), {"matching": [["s1", "zz"]]}, "edge endpoint 'zz' is not a right node"),
-    (body("ryser"), {"matching": [["s1"]]}, "edge ['s1'] must be a [left, right] pair"),
-    (body("ryser"), {"matching": "s1"}, "edges 's1' must be a list of [left, right] pairs"),
+    (with_fields("ore", h0=[5]), None, "h0", "edge 5 must be a [left, right] pair"),
+    (with_fields("ore", h0=5), None, "h0", "edges 5 must be a list of [left, right] pairs"),
+    (with_fields("ore", h0=[["s1", ["t1"]]]), None, "h0", "edge endpoint ['t1'] is not a right node"),
+    (body("ore"), {"edges": [5]}, None, "edge 5 must be a [left, right] pair"),
+    (body("ryser"), {"matching": [["s1", "zz"]]}, None, "edge endpoint 'zz' is not a right node"),
+    (body("ryser"), {"matching": [["s1"]]}, None, "edge ['s1'] must be a [left, right] pair"),
+    (body("ryser"), {"matching": "s1"}, None, "edges 's1' must be a list of [left, right] pairs"),
 ]
 
 
 @pytest.mark.parametrize(
-    "data,witness,message", MALFORMED_PAIR_CASES, ids=[m for _, _, m in MALFORMED_PAIR_CASES]
+    "data,witness,field,message", MALFORMED_PAIR_CASES, ids=[m for *_, m in MALFORMED_PAIR_CASES]
 )
-def test_malformed_pairs_are_input_errors(tmp_path, capsys, data, witness, message):
-    assert run_cli(tmp_path, capsys, ["check"], data, witness) == (2, f"error: {message}\n")
+def test_malformed_pairs_are_input_errors(tmp_path, capsys, data, witness, field, message):
+    assert run_cli(tmp_path, capsys, ["check"], data, witness) == (
+        2, f"error: {in_field(field, message)}\n"
+    )
 
 
 def test_matching_witness_problems_keep_the_file_order(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Differential tests of the table-max core against the literal quantifier scans.
 
-The checkers fold nested families into superset/subset-max tables and decide
-the rank and supermodularity axioms through their local forms; the oracles in
-``tests/oracles.py`` walk every inequality one by one.  Verdicts, certificates
-(compared by repr) and the reported axiom violations must agree exactly.
+The checkers take separable maxima, fold nested families into flat tables and
+decide the rank and supermodularity axioms through their local forms; the
+oracles in ``tests/oracles.py`` walk every inequality one by one.  Verdicts,
+certificates (compared by repr) and the reported axiom violations must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -12,16 +13,18 @@ import random
 
 from termrank import feasibility
 from termrank.bigraph import Bigraph, DegreeSpec, GroundSets, bipartite_complement, bit_halves
+from termrank.errors import PreconditionError
 from termrank.feasibility import (
-    _NEG,
     Instance,
-    _best_outer,
-    _ore_table,
-    _subset_max,
-    _superset_max,
+    _cut_table,
+    _gain_columns,
+    check_brualdi,
     check_fully,
     check_ms_only,
     check_msmt,
+    check_ore,
+    check_ore0,
+    check_ryser,
     check_ryser_gen,
     check_ryser_novel,
     ryser_table,
@@ -41,16 +44,21 @@ from termrank.matroid import Matroid, validate_rank_table
 from termrank.setfun import SetFunction, classify_supermodular, from_corank
 
 from .oracles import (
-    literal_best_outer,
+    literal_brualdi,
     literal_fully,
+    literal_fully_counted,
     literal_ms_only,
     literal_msmt,
+    literal_ore,
+    literal_ore0,
     literal_ore_table,
     literal_rank_violation,
+    literal_ryser,
     literal_ryser_gen,
     literal_ryser_novel,
     literal_supermodular_violation,
     nested_pair_family,
+    tabled_nested_pair,
 )
 
 CFG = FuzzConfig(max_s=4, max_t=4)
@@ -67,40 +75,6 @@ def test_bit_halves_pair_every_mask_once():
                 assert [h - l for l, h in zip(lo_idx, hi_idx)] == [bit] * len(lo_idx)
                 lows += lo_idx
             assert sorted(lows) == [m for m in range(size) if not m & bit]
-
-
-def _pointwise_max(vals: list[int], free: int, upward: bool) -> list[int]:
-    """Each entry's maximum over the masks above (or below) it that differ
-    from it only in the ``free`` bits, walked one submask at a time."""
-    out = []
-    for m, v in enumerate(vals):
-        rest = free & ~m if upward else free & m
-        sub = rest
-        while sub:
-            v = max(v, vals[m | sub] if upward else vals[m ^ sub])
-            sub = (sub - 1) & rest
-        out.append(v)
-    return out
-
-
-def test_transforms_match_pointwise_maxima():
-    rng = random.Random(7)
-    kept = lifted = 0  # excluded entries that stay excluded / take a real value
-    for n in (1, 2, 3, 4, 5, 12):
-        size = 1 << n
-        # _NEG marks an excluded entry, as in check_brualdi's cover table
-        vals = [_NEG if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(size)]
-        free = [i for i in range(n) if rng.random() < 0.6]
-        free_mask = sum(1 << i for i in free)
-        sup, sub = vals[:], vals[:]
-        _superset_max(sup, free)
-        _subset_max(sub, free)
-        assert sup == _pointwise_max(vals, free_mask, upward=True)
-        assert sub == _pointwise_max(vals, free_mask, upward=False)
-        for v, out in zip(vals * 2, sup + sub):
-            kept += v == out == _NEG
-            lifted += v == _NEG != out
-    assert kept and lifted
 
 
 def test_ryser_table_matches_the_pointwise_left_hand_side():
@@ -231,51 +205,89 @@ def test_ryser_gen_counts_every_nested_inequality():
     assert nested == 640 - 64
 
 
-def _cap_matroid(rng: random.Random, kind: str, ground: tuple[str, ...]) -> Matroid:
-    n = len(ground)
-    if kind == "uniform":
-        return Matroid.uniform(ground, rng.randint(0, n))
-    if kind == "partition":
-        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
-        blocks = [ground[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
-        return Matroid.partition(ground, blocks, [rng.randint(0, len(b)) for b in blocks])
-    return _random_matroid_of_rank(rng, ground, rng.randint(0, n))
+def _counted(check, *args):
+    """A checker's certificate and its ``ineq_evals``."""
+    stats: dict = {}
+    return check(*args, stats=stats), stats["ineq_evals"]
 
 
-def test_folded_tables_match_the_literal_tables_at_the_cap(monkeypatch):
-    """The row-wise Ore table and the monotone fold of the nested-pair cover
-    table against their unfolded forms, with the nested family's count, at
-    every cap shape, for an empty, a half and a complete initial graph."""
-    passes = []
+def _same(got, expected) -> str | None:
+    """Compare (certificate, count) pairs by repr; the certificate's kind."""
+    assert repr(got) == repr(expected)
+    return None if got[0] is None else got[0].which
 
-    def recording_superset_max(table, positions):
-        positions = list(positions)
-        passes.append(positions)
-        _superset_max(table, positions)
 
-    monkeypatch.setattr(feasibility, "_superset_max", recording_superset_max)
+def test_separable_maxima_match_the_literal_scans_at_the_cap(monkeypatch):
+    """The separable maxima, the flat fully / nested-pair tables and the folded
+    vertex-cover table against the literal scans at every cap shape, for an
+    empty, a half and a complete initial graph, with drawn and with idle
+    degrees (zero gains, so ties): certificates by repr and ``ineq_evals``.
+    The Ore-type checkers enumerate the smaller class, so both orientations
+    run."""
+    enumerated: list[tuple[int, int]] = []
+
+    def recording_gain_columns(n_row, w_col, col_adj):
+        enumerated.append((n_row, len(w_col)))
+        return _gain_columns(n_row, w_col, col_adj)
+
+    monkeypatch.setattr(feasibility, "_gain_columns", recording_gain_columns)
     rng = random.Random(20261018)
-    folded = set()
+    kinds, orientations = set(), set()
     for n_s, n_t in ((6, 6), (5, 7), (2, 10), (10, 2), (1, 11), (11, 1)):
         grounds = _grounds(n_s, n_t)
+        smaller = (min(n_s, n_t), max(n_s, n_t))
         for density in (0.0, 0.5, 1.0):
             initial = _random_initial(rng, grounds, density)
             degrees = _random_degrees(rng, grounds, 3, host=bipartite_complement(initial))
-            inst = Instance.make(grounds, initial=initial, degrees=degrees)
-            assert _ore_table(inst.complement, degrees) == literal_ore_table(inst)
-            for kind in ("uniform", "partition", "random"):
-                rank_s = _cap_matroid(rng, kind, grounds.s_ids).rank
-                rank_t = _cap_matroid(rng, kind, grounds.t_ids).rank
-                passes.clear()
-                assert _best_outer(initial, rank_s, rank_t) == literal_best_outer(
-                    inst, rank_s, rank_t
+            ell = rng.randint(0, min(n_s, n_t))
+            ms = _random_matroid_of_rank(rng, grounds.s_ids, ell)
+            mt = _random_matroid_of_rank(rng, grounds.t_ids, ell)
+            weights = [rng.randint(-1, 2) for _ in range(n_t)]
+            demand = SetFunction(grounds.t_ids, tuple(
+                v + sum(w for j, w in enumerate(weights) if t >> j & 1)
+                for t, v in enumerate(from_corank(mt).values)
+            ))
+            drawn = Instance.make(
+                grounds, initial=initial, degrees=degrees, matroid_s=ms, matroid_t=mt,
+                target_rank=ell,
+            )
+            cut_table = _cut_table(degrees.m_s, degrees.m_t, drawn.complement.t_adj)
+            assert cut_table == literal_ore_table(drawn)
+            for inst in (drawn, _idle(drawn)):
+                deg = inst.degrees
+                enumerated.clear()
+                got = _counted(check_ore, inst.complement, deg)
+                assert enumerated == [smaller]
+                orientations.add("S" if n_s <= n_t else "T")
+                kinds.add(_same(got, (literal_ore(inst), 1 << grounds.n_v)))
+                ore0 = literal_ore0(deg)
+                kinds.add(_same(_counted(check_ore0, deg), ore0))
+                try:
+                    got = _counted(check_ryser, deg, ell)
+                except PreconditionError as exc:
+                    assert repr(exc.cert) == repr(ore0[0])
+                else:
+                    cert, evals = literal_ryser(deg, ell)
+                    kinds.add(_same(got, (cert, evals + ore0[1])))
+                fully = Instance.make(
+                    grounds, initial=initial, degrees=deg, matroid_s=ms, demand=demand
                 )
-                # one superset-max, over the bits of the class that is not folded
-                [bits_run] = passes
-                small_side = range(n_s) if n_s <= n_t else range(n_s, n_s + n_t)
-                assert bits_run == list(small_side)
-                folded.add("T" if n_s <= n_t else "S")
-    assert folded == {"S", "T"}
+                assert fully.demand_fully
+                kinds.add(_same(_counted(check_fully, fully), literal_fully_counted(fully)))
+                kinds.add(_same(
+                    _counted(check_ryser_gen, inst),
+                    tabled_nested_pair(inst, "ryser_gen", ell, ms.rank, mt.rank),
+                ))
+                sizes_s = [a.bit_count() for a in range(1 << n_s)]
+                sizes_t = [b.bit_count() for b in range(1 << n_t)]
+                kinds.add(_same(
+                    _counted(check_ryser_novel, inst, ell),
+                    tabled_nested_pair(inst, "ryser_novel", ell, sizes_s, sizes_t),
+                ))
+            got = _counted(check_brualdi, initial, ms, mt)
+            kinds.add(_same(got, literal_brualdi(initial, ms, mt)))
+    assert orientations == {"S", "T"}
+    assert kinds == {None, "ore", "ore0", "ryser", "fully", "ryser_gen", "ryser_novel", "brualdi"}
 
 
 def _random_table(rng: random.Random, n: int) -> tuple[int, ...]:
