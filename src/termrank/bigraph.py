@@ -5,12 +5,20 @@ ground set the left class S occupies the low bits and the right class T the
 bits above them, while subsets of a single class use masks local to that
 class.  All types are immutable after construction and every operation is a
 pure function, so everything here is safe to share between threads.
+
+Tables over all subsets are built by doubling (``subset_sums``,
+``union_table``, ``popcounts``).  The local supermodularity kernel packs a
+table into byte-aligned lanes of one int (``pack_lanes``) and tests all the
+sets of one pair's inequalities with a few whole-int operations
+(``lanes_supermodular``), against guard-bit masks cached per ground size and
+lane width (``lane_masks``).
 """
 
 from __future__ import annotations
 
-import operator
 import os
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -91,18 +99,74 @@ def restrict_table(values: Sequence[int], keep_mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def bit_halves(size: int, bit: int) -> tuple[tuple[slice, slice], ...]:
-    """Slice pairs ``(lo, hi)`` over a table indexed by masks below ``size``.
+def popcounts(n: int) -> tuple[int, ...]:
+    """The size of every mask below ``1 << n``."""
+    return tuple(subset_sums([1] * n))
 
-    Position k of ``hi`` is position k of ``lo`` plus ``bit``, and the ``lo``
-    slices together hold every mask without ``bit`` exactly once, so
-    elementwise work over the pairs visits each (A, A | bit) once.  Low bits
-    use strided slices and high bits contiguous blocks, whichever is fewer.
+
+# an unsigned array typecode for each lane size in bytes
+_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def pack_lanes(values: Sequence[int]) -> tuple[int, int]:
+    """``values`` less their minimum, packed into one int: entry k in lane k.
+
+    Returns the packed int and the lane width in bits.  Lanes are whole
+    bytes, a power of two of them, wide enough for twice the spread plus a
+    guard bit, so a lane may hold the sum of two entries with its top bit
+    free (Lamport, *Multiple byte processing with full-word instructions*,
+    CACM 1975).
     """
-    step = bit << 1
-    if bit * step <= size:
-        return tuple((slice(r, size, step), slice(r + bit, size, step)) for r in range(bit))
-    return tuple((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
+    low = min(values)
+    spread = max(values) - low
+    size = 1
+    while (2 * spread).bit_length() >= 8 * size:
+        size *= 2
+    shifted = map(low.__rsub__, values) if low else values
+    if size in _LANE_CODES:
+        lanes = array(_LANE_CODES[size], shifted)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        raw = lanes.tobytes()
+    else:
+        raw = b"".join(v.to_bytes(size, "little") for v in shifted)
+    return int.from_bytes(raw, "little"), 8 * size
+
+
+@lru_cache(maxsize=None)
+def lane_masks(n: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """Guard bits of the ``1 << n`` lanes of ``width`` bits, built by ``bytes``
+    repetition: of every lane, and for each bit k of the lanes whose mask
+    lacks k."""
+    lane = width // 8
+    guard, blank = bytes(lane - 1) + b"\x80", bytes(lane)
+    every = int.from_bytes(guard * (1 << n), "little")
+    lacking = tuple(
+        int.from_bytes((guard * (1 << k) + blank * (1 << k)) * (1 << (n - k - 1)), "little")
+        for k in range(n)
+    )
+    return every, lacking
+
+
+def lanes_supermodular(packed: int, width: int, n: int) -> bool:
+    """``locally_supermodular`` on a table packed by ``pack_lanes``.
+
+    For each pair e < f, lane m of ``guarded - up[e] + up[ef] - up[f]``
+    holds the guard bit plus p(A) - p(A+e) + p(A+e+f) - p(A+f) for A = m;
+    every lane stays inside its width, so no borrow crosses lanes, and the
+    guard survives exactly where the inequality holds.  Only the lanes
+    whose mask lacks e and f are tested.
+    """
+    every, lacking = lane_masks(n, width)
+    up = [packed >> (width << k) for k in range(n)]  # lane m holds entry m + 2^k
+    guarded = packed | every
+    for e in range(n):
+        drop = guarded - up[e]
+        for f in range(e + 1, n):
+            want = lacking[e] & lacking[f]
+            if (drop + (up[e] >> (width << f)) - up[f]) & want != want:
+                return False
+    return True
 
 
 def locally_supermodular(values: Sequence[int], n: int) -> bool:
@@ -110,19 +174,11 @@ def locally_supermodular(values: Sequence[int], n: int) -> bool:
 
     On the subset lattice this local form is equivalent to supermodularity
     on every pair: each element's marginal gain must not shrink when another
-    element joins.  O(2^n n^2) instead of the pairwise 4^n.
+    element joins.  The table is packed into lanes of one int
+    (``pack_lanes``), so each pair e < f costs a handful of big-int
+    operations instead of a scan over its 2^(n-2) masks.
     """
-    size = 1 << n
-    for e in range(n):
-        gain = [0] * size
-        for lo, hi in bit_halves(size, 1 << e):
-            gain[lo] = map(operator.sub, values[hi], values[lo])
-        # the inequality is symmetric in e and f, so f > e suffices
-        for f in range(e + 1, n):
-            for lo, hi in bit_halves(size, 1 << f):
-                if any(map(operator.gt, gain[lo], gain[hi])):
-                    return False
-    return True
+    return lanes_supermodular(*pack_lanes(values), n)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .harness import (
 )
 from .jsonio import (
     MODES,
+    _in_field,
     dumps,
     load_instance_file,
     result_to_json,
@@ -185,10 +186,10 @@ def cmd_check(args) -> int:
         problems: list[str] = []
         graph = None
         if "edges" in witness:
-            graph = Bigraph.from_names(inst.grounds, witness["edges"])
+            graph = _in_field("edges", Bigraph.from_names, inst.grounds, witness["edges"])
             problems += validate_witness(inst, graph)
         if "matching" in witness:
-            pairs = inst.grounds.pair_indices(witness["matching"])
+            pairs = _in_field("matching", inst.grounds.pair_indices, witness["matching"])
             target = inst.initial if graph is None else graph_union(graph, inst.initial)
             if inst.matroid_t is None:
                 if inst.target_rank is None:

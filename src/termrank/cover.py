@@ -47,6 +47,12 @@ COVER_NODE_BUDGET = 500_000
 # the largest measured at the ground cap (526,251 states, 2.8 s, ~150 MB, on a
 # ryser_gen 6x6 lift), so a search too large fails in seconds, not by memory.
 FAMILY_STATE_BUDGET = 2_000_000
+# Search nodes one ``construct_brute`` call may visit: over 100 times the
+# largest search measured over the timed solve_cap and fuzz_cap rounds of
+# perfbench seeds 1-10 (91,259 nodes, on an ms_only 6x6 fuzz draw).  At about
+# 7 us a node an instance too large for the exhaustive cross-check fails in
+# about a minute, not after an unbounded search.
+BRUTE_NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -420,7 +426,8 @@ def construct_brute(inst: Instance, stats: dict | None = None) -> Bigraph | None
 
     Independent of the cover route: scans edges in lexicographic order,
     prunes on residual degrees, and returns the first degree-fitting subgraph
-    whose union with the initial graph covers the demand, or None.
+    whose union with the initial graph covers the demand, or None.  It
+    raises ``TermrankError`` past ``BRUTE_NODE_BUDGET`` search nodes.
     """
     if inst.degrees is None:
         raise InstanceError("the brute-force constructor needs a degree specification")
@@ -441,6 +448,7 @@ def construct_brute(inst: Instance, stats: dict | None = None) -> Bigraph | None
 
     chosen: list[tuple[int, int]] = []
     found: list[Bigraph | None] = [None]
+    nodes = 0
 
     def leaf() -> None:
         if any(residual_s):
@@ -455,10 +463,14 @@ def construct_brute(inst: Instance, stats: dict | None = None) -> Bigraph | None
         found[0] = candidate
 
     def dfs(k: int) -> None:
+        nonlocal nodes
         if found[0] is not None:
             return
-        if stats is not None:
-            stats["brute_nodes"] = stats.get("brute_nodes", 0) + 1
+        nodes += 1
+        if nodes > BRUTE_NODE_BUDGET:
+            raise TermrankError(
+                f"brute-force construction exceeded its budget of {BRUTE_NODE_BUDGET:,} search nodes"
+            )
         if k == m:
             leaf()
             return
@@ -483,6 +495,8 @@ def construct_brute(inst: Instance, stats: dict | None = None) -> Bigraph | None
         dfs(k + 1)
 
     dfs(0)
+    if stats is not None:
+        stats["brute_nodes"] = stats.get("brute_nodes", 0) + nodes
     return found[0]
 
 

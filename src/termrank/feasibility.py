@@ -37,6 +37,7 @@ from .bigraph import (
     bits,
     cut_count,
     neighborhood,
+    popcounts,
     submasks,
     subset_sums,
     supermasks,
@@ -652,7 +653,7 @@ def check_ryser_novel(inst: Instance, ell: int, stats: dict | None = None) -> Vi
     """Uniform-matroid specialization: ranks replaced by plain cardinalities."""
     degrees = _require_full_degrees(inst.degrees)
     g = inst.grounds
-    sizes_s, sizes_t = subset_sums([1] * g.n_s), subset_sums([1] * g.n_t)
+    sizes_s, sizes_t = popcounts(g.n_s), popcounts(g.n_t)
     return _nested_pair_cert(inst, "ryser_novel", degrees, ell, sizes_s, sizes_t, stats)
 
 

@@ -379,9 +379,15 @@ def _check_certificate(cert, inst: Instance, counters: dict, problems: list[str]
 # attribute is the one called.
 
 
+# What a cross-check is handed when nothing was decided, as when the
+# decision's precondition failed; None is a passing decision.
+NO_DECISION = object()
+
+
 def ryser_prefix(inst: Instance, result, stats: dict | None) -> None:
     """The classic term-rank table's maximum equals its sorted-prefix maximum and
-    a violating result's lhs; None, which also means "no decision", is not compared."""
+    a violating result's lhs, and a passing result (None) leaves it at most
+    gamma; ``NO_DECISION`` is not compared."""
     full = max(ryser_table(inst.degrees, inst.target_rank))
     prefix = ryser_prefix_max(inst.degrees, inst.target_rank)
     if prefix != full:
@@ -389,6 +395,10 @@ def ryser_prefix(inst: Instance, result, stats: dict | None) -> None:
     if isinstance(result, ViolationCert) and result.lhs != full:
         raise AssertionError(
             f"separable maximum disagrees with full quantification: {result.lhs} vs {full}"
+        )
+    if result is None and full > inst.degrees.gamma:
+        raise AssertionError(
+            f"a passing decision leaves the table maximum {full} above gamma {inst.degrees.gamma}"
         )
 
 
@@ -701,7 +711,7 @@ def verify_reductions(rng: random.Random, cfg: FuzzConfig, counters: dict, fault
         try:
             cert = check_ryser(degrees, ell)
         except PreconditionError:
-            ryser_prefix(inst, None, None)
+            ryser_prefix(inst, NO_DECISION, None)
             ore_fail = check_ore(inst.complement, degrees) is not None
             if not ore_fail or gen:
                 problems.append("classic precondition failed but the general form passed")
@@ -954,7 +964,7 @@ def ryser_prefix_slab(seed: int = ACCEPTANCE_SEED, random_count: int = 300) -> t
         grounds = _grounds(n_s, n_t)
         degrees = DegreeSpec(grounds, tuple(m_s), tuple(m_t))
         try:
-            ryser_prefix(Instance.make(grounds, degrees=degrees, target_rank=ell), None, None)
+            ryser_prefix(Instance.make(grounds, degrees=degrees, target_rank=ell), NO_DECISION, None)
         except AssertionError as exc:
             problems.append(f"{m_s}/{m_t} ell={ell}: {exc}")
             return

@@ -102,12 +102,26 @@ def matroid_descriptor(m: Matroid) -> dict:
     }
 
 
+def _subset_keys(ground) -> list[str]:
+    """The key of every mask over ``ground``, ascending: its names, sorted and
+    joined by commas.
+
+    Built by doubling over the ground in sorted-name order, so each key grows
+    only by names that sort after the ones it holds.
+    """
+    masks, keys = [0], [""]
+    for i in sorted(range(len(ground)), key=ground.__getitem__):
+        bit, name = 1 << i, ground[i]
+        keys += [f"{k},{name}" if m else name for m, k in zip(masks, keys)]
+        masks += [m | bit for m in masks]
+    by_mask = keys[:]
+    for m, k in zip(masks, keys):
+        by_mask[m] = k
+    return by_mask
+
+
 def setfunction_to_json(p: SetFunction) -> dict:
-    values = {}
-    for mask in range(1 << p.n):
-        key = ",".join(sorted(p.ground[i] for i in bits(mask)))
-        values[key] = p.values[mask]
-    return {"ground": list(p.ground), "values": values}
+    return {"ground": list(p.ground), "values": dict(zip(_subset_keys(p.ground), p.values))}
 
 
 def setfunction_from_json(data) -> SetFunction:
@@ -120,15 +134,15 @@ def setfunction_from_json(data) -> SetFunction:
     raw = data["values"]
     if not isinstance(raw, dict):
         raise InstanceError("demand.values: must be an object keyed by subsets")
-    values = []
-    seen_keys = set()
-    for mask in range(1 << len(ground)):
-        key = ",".join(sorted(ground[i] for i in bits(mask)))
-        if key not in raw:
-            raise InstanceError(f"demand.values: missing subset key {key!r}")
-        seen_keys.add(key)
-        values.append(_parse_int(raw[key], f"demand.values[{key!r}]"))
-    extra = set(raw) - seen_keys
+    keys = _subset_keys(ground)
+    values = [raw.get(key) for key in keys]
+    if not set(map(type, values)) <= {int}:
+        # name the first missing key or non-integer, in ascending mask order
+        for key in keys:
+            if key not in raw:
+                raise InstanceError(f"demand.values: missing subset key {key!r}")
+            _parse_int(raw[key], f"demand.values[{key!r}]")
+    extra = set(raw).difference(keys)
     if extra:
         raise InstanceError(f"demand.values: unknown subset keys {sorted(extra)}")
     return SetFunction(ground, tuple(values))

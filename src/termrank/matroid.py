@@ -3,6 +3,13 @@
 Ground sets are small enough that the table over all subsets fits in memory,
 which makes axiom validation and every later supermodularity check exact
 over every subset instead of sampled.  Instances are immutable once validated.
+
+The builders make each table by doubling: ``free`` is the cached popcount
+table, ``uniform`` caps it, ``partition`` sums one capped overlap table per
+block and ``from_bases`` takes the largest overlap table over the distinct
+bases.  Validation decides R1 over the whole table and the local axioms on
+packed lanes (``bigraph.pack_lanes``); the subset-by-subset and pairwise
+scans run only to name the first violation.
 """
 
 from __future__ import annotations
@@ -11,7 +18,15 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Sequence
 
-from .bigraph import bit_halves, bits, locally_supermodular, restrict_table
+from .bigraph import (
+    bits,
+    lane_masks,
+    lanes_supermodular,
+    pack_lanes,
+    popcounts,
+    restrict_table,
+    subset_sums,
+)
 from .errors import InstanceError
 
 
@@ -35,19 +50,26 @@ def _locally_valid(n: int, rank: Sequence[int]) -> bool:
     gains never exceed the singleton's, at most 1 by R1, so the rank rises
     in unit steps; these local axioms are equivalent to R1-R3 (Oxley,
     *Matroid Theory*), at O(2^n n^2) instead of the pairwise 4^n.
+
+    Both run on the table packed into lanes (``pack_lanes``): lane m of
+    ``(up | every) - packed`` keeps its guard bit where r(A+e) >= r(A), and
+    the rank is submodular where its complement in the top rank, one
+    subtraction away, is supermodular.
     """
-    size = 1 << n
-    for e in range(n):
-        for lo, hi in bit_halves(size, 1 << e):
-            if any(map(gt, rank[lo], rank[hi])):
-                return False
-    return locally_supermodular([-r for r in rank], n)
+    packed, width = pack_lanes(rank)
+    every, lacking = lane_masks(n, width)
+    for e, want in enumerate(lacking):
+        if ((packed >> (width << e) | every) - packed) & want != want:
+            return False
+    # R1 puts the minimum at rank 0, so every lane holds its rank unshifted
+    return lanes_supermodular(max(rank) * (every >> (width - 1)) - packed, width, n)
 
 
 def validate_rank_table(n: int, rank: Sequence[int]) -> RankViolation | None:
     """Decide the rank axioms R1-R3 exactly; None when the table is valid.
 
-    R1 is checked per subset.  Monotonicity and submodularity over every
+    R1 is decided by two passes over the whole table and walked per subset
+    only to name a violation.  Monotonicity and submodularity over every
     pair of subsets are decided through the equivalent local axioms; only
     when those fail does the pairwise scan run, so the reported violation is
     still the first one in the deterministic scan order (R2 pairs, then R3
@@ -58,11 +80,12 @@ def validate_rank_table(n: int, rank: Sequence[int]) -> RankViolation | None:
         raise InstanceError(f"rank table must have {size} entries, got {len(rank)}")
     if rank[0] != 0:
         return RankViolation("R1", (0,), f"rank of the empty set is {rank[0]}, not 0")
-    for a in range(size):
-        if rank[a] < 0:
-            return RankViolation("R1", (a,), f"rank {rank[a]} is negative")
-        if rank[a] > a.bit_count():
-            return RankViolation("R1", (a,), f"rank {rank[a]} exceeds the set size {a.bit_count()}")
+    if min(rank) < 0 or any(map(gt, rank, popcounts(n))):
+        for a in range(size):
+            if rank[a] < 0:
+                return RankViolation("R1", (a,), f"rank {rank[a]} is negative")
+            if rank[a] > a.bit_count():
+                return RankViolation("R1", (a,), f"rank {rank[a]} exceeds the set size {a.bit_count()}")
     if _locally_valid(n, rank):
         return None
     for a in range(size):
@@ -90,8 +113,8 @@ class Matroid:
     kind: str = "explicit"
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", tuple(str(x) for x in self.ground))
-        object.__setattr__(self, "rank", tuple(int(v) for v in self.rank))
+        object.__setattr__(self, "ground", tuple(map(str, self.ground)))
+        object.__setattr__(self, "rank", tuple(map(int, self.rank)))
         if len(set(self.ground)) != len(self.ground):
             raise InstanceError("matroid ground elements must be distinct")
         violation = validate_rank_table(len(self.ground), self.rank)
@@ -116,14 +139,13 @@ class Matroid:
         ground = tuple(ground)
         if not 0 <= k <= len(ground):
             raise InstanceError(f"uniform rank {k} out of range for ground of size {len(ground)}")
-        table = tuple(min(k, a.bit_count()) for a in range(1 << len(ground)))
+        table = tuple(c if c < k else k for c in popcounts(len(ground)))
         return cls(ground, table, kind=f"uniform({k})")
 
     @classmethod
     def free(cls, ground) -> "Matroid":
         ground = tuple(ground)
-        table = tuple(a.bit_count() for a in range(1 << len(ground)))
-        return cls(ground, table, kind="free")
+        return cls(ground, popcounts(len(ground)), kind="free")
 
     @classmethod
     def partition(cls, ground, blocks, caps) -> "Matroid":
@@ -154,11 +176,11 @@ class Matroid:
         caps = [int(c) for c in caps]
         if any(c < 0 for c in caps):
             raise InstanceError("partition matroid caps must be non-negative")
-        table = [
-            sum(min(c, (a & m).bit_count()) for m, c in zip(block_masks, caps))
-            for a in range(1 << len(ground))
-        ]
-        return cls(ground, tuple(table), kind="partition")
+        table = [0] * (1 << len(ground))
+        for m, c in zip(block_masks, caps):
+            inside = subset_sums(_indicator(m, len(ground)))
+            table = [r + (i if i < c else c) for r, i in zip(table, inside)]
+        return cls(ground, table, kind="partition")
 
     @classmethod
     def from_bases(cls, ground, bases) -> "Matroid":
@@ -178,10 +200,17 @@ class Matroid:
         sizes = {m.bit_count() for m in basis_masks}
         if len(sizes) != 1:
             raise InstanceError("all bases must have the same cardinality")
-        table = [
-            max((a & b).bit_count() for b in basis_masks) for a in range(1 << len(ground))
-        ]
-        return cls(ground, tuple(table), kind="explicit")
+        table = [0] * (1 << len(ground))
+        for b in dict.fromkeys(basis_masks):
+            overlap = subset_sums(_indicator(b, len(ground)))
+            table = [r if r > o else o for r, o in zip(table, overlap)]
+        return cls(ground, table, kind="explicit")
+
+
+def _indicator(mask: int, n: int) -> list[int]:
+    """1 at each of the ``n`` positions ``mask`` holds, else 0; its
+    ``subset_sums`` table counts every mask's overlap with ``mask``."""
+    return [mask >> i & 1 for i in range(n)]
 
 
 def corank(m: Matroid, mask: int) -> int:
@@ -197,9 +226,8 @@ def corank(m: Matroid, mask: int) -> int:
 
 
 def corank_values(m: Matroid) -> tuple[int, ...]:
-    full = (1 << m.n) - 1
-    top = m.rank[full]
-    return tuple(top - m.rank[full ^ mask] for mask in range(1 << m.n))
+    # full ^ mask walks the masks downwards as mask walks them upwards
+    return tuple(map(m.full_rank.__sub__, reversed(m.rank)))
 
 
 def enumerate_bases(m: Matroid) -> list[int]:

@@ -9,6 +9,7 @@ from the package they take only the result types and the rank tables.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from termrank.feasibility import ViolationCert
@@ -581,3 +582,44 @@ def literal_supermodular_violation(vals, n):
                     "full", False, a, b, vals[a] + vals[b], vals[a & b] + vals[a | b]
                 )
     return None
+
+
+def _bit_halves(size, bit):
+    """Slice pairs (lo, hi) over a table of ``size`` masks: position k of hi
+    is position k of lo plus ``bit``, and the lo slices together hold every
+    mask without ``bit`` once.  Low bits use strided slices, high bits
+    contiguous blocks, whichever is fewer."""
+    step = bit << 1
+    if bit * step <= size:
+        return [(slice(r, size, step), slice(r + bit, size, step)) for r in range(bit)]
+    return [(slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step)]
+
+
+def sliced_locally_supermodular(values, n):
+    """The local supermodular inequalities by slice comparisons: each
+    element's gain table, then every pair of gains one bit apart."""
+    size = 1 << n
+    for e in range(n):
+        gain = [0] * size
+        for lo, hi in _bit_halves(size, 1 << e):
+            gain[lo] = map(operator.sub, values[hi], values[lo])
+        for f in range(e + 1, n):
+            for lo, hi in _bit_halves(size, 1 << f):
+                if any(map(operator.gt, gain[lo], gain[hi])):
+                    return False
+    return True
+
+
+def sliced_locally_valid(n, rank):
+    """Local monotonicity and submodularity of a rank table, by slices."""
+    size = 1 << n
+    for e in range(n):
+        for lo, hi in _bit_halves(size, 1 << e):
+            if any(map(operator.gt, rank[lo], rank[hi])):
+                return False
+    return sliced_locally_supermodular([-r for r in rank], n)
+
+
+def literal_subset_key(ground, mask):
+    """A demand table's key for ``mask``: the names it holds, sorted, comma-joined."""
+    return ",".join(sorted(ground[i] for i in range(len(ground)) if mask >> i & 1))

@@ -4,6 +4,8 @@ and the fuzz harness self-test."""
 from __future__ import annotations
 
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,8 @@ from termrank.jsonio import (
 )
 from termrank.matroid import Matroid
 from termrank.setfun import from_corank
+
+from .oracles import literal_subset_key
 
 
 def write(tmp_path, name, data):
@@ -78,6 +82,35 @@ def test_setfunction_json_round_trip():
     data["values"]["zz"] = 1
     with pytest.raises(InstanceError):
         setfunction_from_json(data)
+
+
+def test_setfunction_keys_match_the_sorted_names():
+    rng = random.Random(20261021)
+    for n in range(9):
+        ground = tuple(rng.sample(["a", "b", "ab", "a,", "t10", "t2", "t1", "zz", "B"], n))
+        values = {literal_subset_key(ground, a): a for a in range(1 << n)}
+        p = setfunction_from_json({"ground": list(ground), "values": values})
+        assert p.values == tuple(range(1 << n))
+        assert setfunction_to_json(p)["values"] == values
+
+
+@pytest.mark.parametrize("changes,message", [
+    # ground ["t2", "t1"]: mask 1 is "t2", mask 2 "t1", mask 3 "t1,t2"
+    ({"t2": "1", "t1,t2": None}, "demand.values['t2']: not an integer"),
+    ({"t1": None, "t1,t2": 1.0}, "demand.values: missing subset key 't1'"),
+    ({"t1,t2": None, "t2": True}, "demand.values['t2']: not an integer"),
+    ({"t1,t2": 2.5}, "demand.values['t1,t2']: not an integer"),
+    ({"t2,t1": 0}, "demand.values: unknown subset keys ['t2,t1']"),
+])
+def test_setfunction_reports_the_first_bad_value_by_mask(changes, message):
+    values = {"": 0, "t2": 1, "t1": 2, "t1,t2": 3}
+    for key, value in changes.items():
+        if value is None:
+            del values[key]
+        else:
+            values[key] = value
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        setfunction_from_json({"ground": ["t2", "t1"], "values": values})
 
 
 def test_load_instance_rejects_unknown_fields():

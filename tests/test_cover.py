@@ -327,6 +327,24 @@ def test_construct_brute_is_lexicographically_first():
     assert built.edges == ((0, 0), (1, 1))
 
 
+def test_brute_force_construction_stops_at_its_node_budget(tmp_path, capsys, monkeypatch):
+    g = grounds(2, 2)
+    inst = Instance.make(g, degrees=DegreeSpec(g, (1, 1), (1, 1)), demand=constant(g.t_ids, 0))
+    stats: dict = {}
+    built = construct_brute(inst, stats)
+    nodes = stats["brute_nodes"]
+    monkeypatch.setattr(cover_module, "BRUTE_NODE_BUDGET", nodes)
+    assert construct_brute(inst) == built
+    monkeypatch.setattr(cover_module, "BRUTE_NODE_BUDGET", nodes - 1)
+    message = f"brute-force construction exceeded its budget of {nodes - 1} search nodes"
+    with pytest.raises(TermrankError, match=f"^{message}$"):
+        construct_brute(inst)
+    monkeypatch.setattr(cover_module, "BRUTE_NODE_BUDGET", 1)
+    assert run_cli(tmp_path, capsys, ["solve", "--route", "brute"], body("ore")) == (
+        2, "error: brute-force construction exceeded its budget of 1 search nodes\n"
+    )
+
+
 def test_find_matching_examples():
     g = grounds(2, 2)
     k22 = Bigraph(g, tuple((i, j) for i in range(2) for j in range(2)))

@@ -258,6 +258,17 @@ def test_ryser_prefix_compares_a_violating_result_with_the_table():
         harness.ryser_prefix(feasible, ViolationCert("ryser", lhs=5, rhs=4), None)
 
 
+def test_ryser_prefix_judges_a_passing_result():
+    infeasible, feasible = term_rank(INFEASIBLE), term_rank(FEASIBLE)
+    harness.ryser_prefix(feasible, None, None)
+    harness.ryser_prefix(infeasible, harness.NO_DECISION, None)
+    # a pass where the table maximum, 5, exceeds gamma, 4
+    with pytest.raises(
+        AssertionError, match="^a passing decision leaves the table maximum 5 above gamma 4$"
+    ):
+        harness.ryser_prefix(infeasible, None, None)
+
+
 def test_lift_crossing_catches_a_broken_side(monkeypatch):
     _mode, inst = load_instance(body("msmt"))
     base = setfun.base_demand(inst.initial, inst.degrees, inst.demand, inst.matroid_s)
@@ -288,7 +299,7 @@ def test_cross_check_table_names_the_five_identities():
 def test_identities_hold_on_both_verdicts():
     for degrees in (FEASIBLE, INFEASIBLE):
         inst = term_rank(degrees)
-        harness.ryser_prefix(inst, None, None)
+        harness.ryser_prefix(inst, harness.NO_DECISION, None)
         harness.ryser_gen_lift(inst, check_ryser_gen(inst), None)
         harness.integrated_split(inst, check_integrated(degrees, inst.matroid_s, inst.matroid_t), None)
         harness.brute_witness(inst, solve_term_rank(inst), None)

@@ -50,6 +50,33 @@ def test_uniform_examples():
     assert two.rank[0b111] == 2
 
 
+def test_built_tables_match_their_per_mask_formulas():
+    rng = random.Random(20261020)
+    for n in range(13):
+        ground = tuple(f"e{i}" for i in range(n))
+        size = 1 << n
+        assert Matroid.free(ground).rank == tuple(a.bit_count() for a in range(size))
+        for k in {0, n // 2, n}:
+            assert Matroid.uniform(ground, k).rank == tuple(
+                min(k, a.bit_count()) for a in range(size)
+            )
+        # blocks of at most three elements, so the partition has few bases
+        order = rng.sample(range(n), n)
+        blocks = [order[i : i + rng.randint(1, 3)] for i in range(0, n, 3)]
+        blocks = [b for b in blocks if b]
+        caps = [rng.randint(0, len(b)) for b in blocks]
+        masks = [sum(1 << i for i in b) for b in blocks]
+        part = Matroid.partition(ground, [[ground[i] for i in b] for b in blocks], caps)
+        assert part.rank == tuple(
+            sum(min(c, (a & m).bit_count()) for m, c in zip(masks, caps)) for a in range(size)
+        )
+        bases = enumerate_bases(part)
+        listed = [[ground[i] for i in range(n) if b >> i & 1] for b in bases + bases[:2]]
+        assert Matroid.from_bases(ground, listed).rank == tuple(
+            max((a & b).bit_count() for b in bases) for a in range(size)
+        )
+
+
 def test_uniform_range_checked():
     with pytest.raises(InstanceError):
         Matroid.uniform(("a",), 2)

@@ -370,10 +370,10 @@ MALFORMED_PAIR_CASES = [
     (with_fields("ore", h0=[5]), None, "h0", "edge 5 must be a [left, right] pair"),
     (with_fields("ore", h0=5), None, "h0", "edges 5 must be a list of [left, right] pairs"),
     (with_fields("ore", h0=[["s1", ["t1"]]]), None, "h0", "edge endpoint ['t1'] is not a right node"),
-    (body("ore"), {"edges": [5]}, None, "edge 5 must be a [left, right] pair"),
-    (body("ryser"), {"matching": [["s1", "zz"]]}, None, "edge endpoint 'zz' is not a right node"),
-    (body("ryser"), {"matching": [["s1"]]}, None, "edge ['s1'] must be a [left, right] pair"),
-    (body("ryser"), {"matching": "s1"}, None, "edges 's1' must be a list of [left, right] pairs"),
+    (body("ore"), {"edges": [5]}, "edges", "edge 5 must be a [left, right] pair"),
+    (body("ryser"), {"matching": [["s1", "zz"]]}, "matching", "edge endpoint 'zz' is not a right node"),
+    (body("ryser"), {"matching": [["s1"]]}, "matching", "edge ['s1'] must be a [left, right] pair"),
+    (body("ryser"), {"matching": "s1"}, "matching", "edges 's1' must be a list of [left, right] pairs"),
 ]
 
 

@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import random
 
-from termrank import feasibility
-from termrank.bigraph import Bigraph, DegreeSpec, GroundSets, bipartite_complement, bit_halves
+from termrank import feasibility, matroid
+from termrank.bigraph import (
+    Bigraph,
+    DegreeSpec,
+    GroundSets,
+    bipartite_complement,
+    locally_supermodular,
+    popcounts,
+)
 from termrank.errors import PreconditionError
 from termrank.feasibility import (
     Instance,
@@ -58,23 +65,86 @@ from .oracles import (
     literal_ryser_novel,
     literal_supermodular_violation,
     nested_pair_family,
+    sliced_locally_supermodular,
+    sliced_locally_valid,
     tabled_nested_pair,
 )
 
 CFG = FuzzConfig(max_s=4, max_t=4)
 
 
-def test_bit_halves_pair_every_mask_once():
-    for n in range(6):
-        size = 1 << n
-        for i in range(n):
-            bit = 1 << i
-            lows = []
-            for lo, hi in bit_halves(size, bit):
-                lo_idx, hi_idx = range(size)[lo], range(size)[hi]
-                assert [h - l for l, h in zip(lo_idx, hi_idx)] == [bit] * len(lo_idx)
-                lows += lo_idx
-            assert sorted(lows) == [m for m in range(size) if not m & bit]
+def _local_cases(n: int) -> dict[str, tuple[list[int], bool]]:
+    """Tables over n bits whose local supermodularity is known, by name.
+
+    Built from q(A) = C(|A|, 2), whose local difference is 1 at every pair
+    and lane: the violations sit at the highest pair (every lane), at the
+    highest lane of every pair, or only at the highest pair's highest lane,
+    the last lane it tests.  Scaled and shifted copies span +-10^12 and
+    +-2^70 around a violation of 1.  The steep tables put their whole
+    spread into one local difference, at each lane width's limits.
+    """
+    size, full, top = 1 << n, (1 << n) - 1, 0b11 << max(n - 2, 0)
+    q = [c * (c - 1) // 2 for c in popcounts(n)]
+    both = [int(a & top == top) for a in range(size)]
+    at_full = [int(a == full) for a in range(size)]
+    broken = n >= 2
+    one = [s - b - f for s, b, f in zip(q, both, at_full)]
+    modular = [sum((-1) ** i * 10**11 for i in range(n) if a >> i & 1) for a in range(size)]
+    return {
+        "supermodular": (q, True),
+        "shifted": ([10**9 * v - 10**12 for v in q], True),
+        "highest pair": ([s - 2 * b for s, b in zip(q, both)], not broken),
+        "highest lanes": ([s - 3 * f for s, f in zip(q, at_full)], not broken),
+        "one lane": (one, not broken),
+        "wide one lane": (
+            [10**10 * (s - b) - f + m for s, b, f, m in zip(q, both, at_full, modular)],
+            not broken,
+        ),
+        "wider than a word": ([2**70 * (s - b) - f for s, b, f in zip(q, both, at_full)], not broken),
+        **{
+            f"steep {sign * step}": ([sign * step * b for b in both], sign > 0 or not broken)
+            for step in (63, 64, 127, 128, 2**15, 2**31, 2**62, 2**63)
+            for sign in (1, -1)
+        },
+    }
+
+
+def test_packed_kernel_matches_the_sliced_scan():
+    rng = random.Random(20261018)
+    seen = set()
+    for n in range(13):
+        for name, (table, expected) in _local_cases(n).items():
+            assert locally_supermodular(table, n) is expected, (n, name)
+            assert sliced_locally_supermodular(table, n) is expected, (n, name)
+            seen.add(expected)
+        for _ in range(12 if n <= 8 else 3):
+            base = list(_local_cases(n)[rng.choice(("supermodular", "shifted"))][0])
+            if rng.random() < 0.3:
+                base = [rng.randint(-3, 3) for _ in range(1 << n)]
+            for _ in range(rng.choice((0, 1, 2))):
+                base[rng.randrange(1 << n)] += rng.choice((-2, -1, 1, 2))
+            got = locally_supermodular(base, n)
+            assert got == sliced_locally_supermodular(base, n), (n, base)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_packed_rank_axioms_match_the_sliced_scan():
+    # tables that satisfy R1, the precondition of the local rank axioms
+    rng = random.Random(20261019)
+    outcomes = set()
+    for n in range(13):
+        ground = tuple(f"e{i}" for i in range(n))
+        sizes = popcounts(n)
+        for _ in range(10 if n <= 8 else 3):
+            table = list(_random_matroid(rng, ground).rank) if n else [0]
+            for _ in range(rng.choice((0, 1, 1, 2)) if n else 0):
+                a = rng.randrange(1, 1 << n)
+                table[a] = min(max(table[a] + rng.choice((-1, 1)), 0), sizes[a])
+            got = matroid._locally_valid(n, table)
+            assert got == sliced_locally_valid(n, table), (n, table)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_ryser_table_matches_the_pointwise_left_hand_side():
@@ -314,13 +384,21 @@ def test_rank_validation_matches_the_pairwise_scan():
         assert got == literal_rank_violation(n, table)
         axioms.add(None if got is None else got.axiom)
     assert axioms == {None, "R1", "R2", "R3"}
+    for n in (6, 7, 8):
+        axioms = set()
+        for _ in range(40):
+            table = _random_table(rng, n)
+            got = validate_rank_table(n, table)
+            assert got == literal_rank_violation(n, table)
+            axioms.add(None if got is None else got.axiom)
+        assert axioms == {None, "R1", "R2", "R3"}, n
 
 
 def test_full_supermodularity_matches_the_pairwise_scan():
     rng = random.Random(20260904)
     outcomes = set()
-    for _ in range(1500):
-        n = rng.randint(1, 5)
+    for draw in range(1500 + 3 * 40):
+        n = rng.randint(1, 5) if draw < 1500 else 6 + (draw - 1500) // 40
         ground = tuple(f"t{i}" for i in range(n))
         if rng.random() < 0.3:
             vals = [rng.randint(-2, 3) for _ in range(1 << n)]
@@ -331,5 +409,5 @@ def test_full_supermodularity_matches_the_pairwise_scan():
         p = SetFunction(ground, tuple(vals))
         got = classify_supermodular(p, "full")
         assert got == literal_supermodular_violation(p.values, n)
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
+        outcomes.add((n > 5, got is None))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
