@@ -44,7 +44,6 @@ from .matroid import Matroid, corank, validate_rank_table
 from .setfun import (
     SetFunction,
     base_demand,
-    base_demand_source_only,
     classify_supermodular,
     closed_family,
     from_corank,
@@ -69,7 +68,6 @@ __all__ = [
     "TermrankError",
     "ViolationCert",
     "base_demand",
-    "base_demand_source_only",
     "bipartite_complement",
     "check_brualdi",
     "check_fully",

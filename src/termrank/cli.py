@@ -8,6 +8,7 @@ or precondition error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -163,6 +164,17 @@ def _emit(data: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _answer(result, inst: Instance, stats: dict, start: float, out: str | None) -> int:
+    """Emit a decision with its wall time: a certificate is infeasible, a
+    witness or a pass (None) feasible."""
+    stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
+    if isinstance(result, ViolationCert):
+        _emit(result_to_json("infeasible", grounds=inst.grounds, cert=result, stats=stats), out)
+        return EXIT_INFEASIBLE
+    _emit(result_to_json("feasible", grounds=inst.grounds, witness=result, stats=stats), out)
+    return EXIT_FEASIBLE
+
+
 def _load_witness_payload(path: str) -> dict:
     import json
 
@@ -202,16 +214,7 @@ def cmd_check(args) -> int:
         payload["witness_problems"] = problems
         _emit(payload, args.out)
         return EXIT_FEASIBLE if not problems else EXIT_INFEASIBLE
-    cert = _decide(mode, inst, stats)
-    stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if cert is None:
-        _emit(result_to_json("feasible", grounds=inst.grounds, stats=stats), args.out)
-        return EXIT_FEASIBLE
-    _emit(
-        result_to_json("infeasible", grounds=inst.grounds, cert=cert, stats=stats),
-        args.out,
-    )
-    return EXIT_INFEASIBLE
+    return _answer(_decide(mode, inst, stats), inst, stats, start, args.out)
 
 
 def cmd_solve(args) -> int:
@@ -219,19 +222,7 @@ def cmd_solve(args) -> int:
     stats: dict = {"mode": mode, "route": args.route}
     start = time.perf_counter()
     _check, _crosschecks, solve = DISPATCH[mode]
-    result = solve(mode, inst, args.route, stats)
-    stats["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if isinstance(result, ViolationCert):
-        _emit(
-            result_to_json("infeasible", grounds=inst.grounds, cert=result, stats=stats),
-            args.out,
-        )
-        return EXIT_INFEASIBLE
-    _emit(
-        result_to_json("feasible", grounds=inst.grounds, witness=result, stats=stats),
-        args.out,
-    )
-    return EXIT_FEASIBLE
+    return _answer(solve(mode, inst, args.route, stats), inst, stats, start, args.out)
 
 
 def cmd_fuzz(args) -> int:
@@ -257,7 +248,10 @@ def cmd_selftest(args) -> int:
     return EXIT_FEASIBLE if all_ok else EXIT_INFEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="termrank",
         description=(
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RESULT",
         help="re-validate the witness in a result file against this instance",
     )
-    p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="construct a witness or certificate")
     p_solve.add_argument("path", help="instance JSON file")
@@ -288,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="construction route; 'both' also asserts the two agree",
     )
     p_solve.add_argument("--out", help="write the result JSON here instead of stdout")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_fuzz = sub.add_parser("fuzz", help="seeded cross-oracle verification run")
     p_fuzz.add_argument("--seed", type=int, default=0)
@@ -300,19 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {','.join(FUZZ_MODES)}",
     )
     p_fuzz.add_argument("--out", help="write the report JSON here instead of stdout")
-    p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_self = sub.add_parser("selftest", help="run the built-in acceptance suite")
     p_self.add_argument("--quick", action="store_true", help="reduced instance counts")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name, so a replaced module attribute is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (InstanceError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

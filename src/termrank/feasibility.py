@@ -58,7 +58,7 @@ class ViolationCert:
 
     Masks are class-local (``x``/``xp`` over S, ``y``/``yp``/``parts`` over
     T).  ``lhs > rhs`` always holds; ``rhs`` is the degree total except for
-    the vertex-cover condition, where it is 0.
+    the vertex-cover condition and the empty-set demand, where it is 0.
     """
 
     which: str
@@ -351,6 +351,21 @@ def _packing_tables(inst: Instance) -> tuple[list[int], list[list[int]], list[li
     return gain, [best[a & union] for a in t_masks], [count[a & union] for a in t_masks]
 
 
+def _subpartition_demand(inst: Instance, stats: dict | None) -> ViolationCert | None:
+    """The demand rules of both subpartition forms: the demand must be
+    positively intersecting supermodular, and it fails at once when positive
+    on the empty set, which no graph meets (N(empty) has rank 0) and no part
+    of a subpartition is.  That inequality counts only when it fails."""
+    if inst.demand is None:
+        raise InstanceError("this condition needs a demand on the right class")
+    if not inst.demand_pos_intersecting:
+        raise PreconditionError("demand is not positively intersecting supermodular")
+    if inst.demand.values[0] <= 0:
+        return None
+    _bump(stats, "ineq_evals")
+    return ViolationCert("empty_demand", lhs=inst.demand.values[0], rhs=0)
+
+
 def _first_packing(gain: list[int], best: list[list[int]], x: int, avail: int) -> tuple[int, ...]:
     """The first packing of left set x inside ``avail`` whose total is the best,
     in the literal scan's pre-order: the empty family, then each positive part
@@ -383,13 +398,11 @@ def check_msmt(inst: Instance, stats: dict | None = None) -> ViolationCert | Non
     The best packing of positive parts inside every right mask comes from the
     subset DP of ``_packing_tables``.  ``ineq_evals`` counts the packings of
     positive parts over all (x, y), one inequality each, as a literal scan
-    would offer them.
+    would offer them.  A positive demand on the empty set fails first.
     """
     degrees = _require_full_degrees(inst.degrees)
-    if inst.demand is None:
-        raise InstanceError("this condition needs a demand on the right class")
-    if not inst.demand_pos_intersecting:
-        raise PreconditionError("demand is not positively intersecting supermodular")
+    if (cert := _subpartition_demand(inst, stats)) is not None:
+        return cert
     g = inst.grounds
     gamma = degrees.gamma
     gain, best, count = _packing_tables(inst)
@@ -411,18 +424,16 @@ def check_ms_only(inst: Instance, stats: dict | None = None) -> ViolationCert | 
 
     Besides the subpartition condition (now over all of T), each left node
     must have room for its new edges next to its initial ones; that per-node
-    bound is checked first and reported with the right class size as rhs.
-    The subpartition condition is the table sum_s(x) + best packing inside T,
-    over left subsets x.  ``ineq_evals`` counts the left nodes, then the
-    packings of positive parts inside T over all x, as a literal scan would
-    offer them.
+    bound is checked after a positive demand on the empty set, and reported
+    with the right class size as rhs.  The subpartition condition is the
+    table sum_s(x) + best packing inside T, over left subsets x.
+    ``ineq_evals`` counts the left nodes, then the packings of positive parts
+    inside T over all x, as a literal scan would offer them.
     """
     if inst.degrees is None:
         raise InstanceError("this condition needs left degrees")
-    if inst.demand is None:
-        raise InstanceError("this condition needs a demand on the right class")
-    if not inst.demand_pos_intersecting:
-        raise PreconditionError("demand is not positively intersecting supermodular")
+    if (cert := _subpartition_demand(inst, stats)) is not None:
+        return cert
     g = inst.grounds
     degrees = inst.degrees
     loads = [m + d for m, d in zip(degrees.m_s, inst.initial.s_degrees)]
@@ -748,6 +759,8 @@ def recompute_lhs(cert: ViolationCert, inst: Instance) -> int:
         if which == "ms_only":
             return deg.sum_s(cert.x) + total
         return base + total
+    if which == "empty_demand":
+        return inst.demand.value(0) - inst.matroid_s.rank_of(0)
     if which == "ms_only_degree":
         i = cert.x.bit_length() - 1
         return deg.m_s[i] + inst.initial.s_degree(i)

@@ -214,7 +214,12 @@ def load_instance(data, mode_override: str | None = None) -> tuple[str, Instance
     spec = MODES[mode]
     _reject_extra(data, {"mode", "S", "T", "h0", *spec.fields.split()}, "instance")
 
-    grounds = GroundSets(_parse_ids(data, "S"), _parse_ids(data, "T"))
+    s_ids, t_ids = _parse_ids(data, "S"), _parse_ids(data, "T")
+    for name in t_ids:
+        if not name or "," in name:
+            # demand keys join right ids with commas; "" is the empty set's key
+            raise InstanceError(f"T: node id {name!r} must be non-empty and hold no ','")
+    grounds = GroundSets(s_ids, t_ids)
     initial = _in_field("h0", Bigraph.from_names, grounds, data.get("h0", []))
     if not initial.simple:
         raise InstanceError("h0: initial graph must be simple")

@@ -221,20 +221,6 @@ def base_demand(
     return SetFunction(g.s_ids + g.t_ids, tuple(chain.from_iterable(rows)))
 
 
-def base_demand_source_only(
-    h0: Bigraph, demand: SetFunction, matroid_s: Matroid
-) -> SetFunction:
-    """Lift used when degrees are prescribed on the left class only.
-
-    Every member of the closed family gets the plain matroid slack; there is
-    no single-node degree branch.
-    """
-    _require_demand_shape(h0, demand, matroid_s)
-    g = h0.grounds
-    rows = _slack_rows(h0, demand, matroid_s)
-    return SetFunction(g.s_ids + g.t_ids, tuple(chain.from_iterable(rows)))
-
-
 def full_demand(base: SetFunction, h0: Bigraph, spec: DegreeSpec) -> SetFunction:
     """Overwrite each left node's non-neighbor set with its prescribed degree.
 

@@ -97,18 +97,6 @@ def naive_base_lift(h0_edges, n_s, n_t, m_t, demand_of, rank_of):
     return result
 
 
-def naive_source_only_lift(h0_edges, n_s, n_t, demand_of, rank_of):
-    result = {}
-    for s_part in subsets(range(n_s)):
-        for t_part in subsets(range(n_t)):
-            closed = all(s in s_part for s, t in h0_edges if t in t_part)
-            if closed:
-                result[(s_part, t_part)] = demand_of(t_part) - rank_of(s_part)
-            else:
-                result[(s_part, t_part)] = 0
-    return result
-
-
 def _closed_mask_slack(h0, demand, matroid_s):
     """(S-part, T-part, slack) of every full-ground mask no initial arc enters, mask by mask."""
     g = h0.grounds
@@ -130,14 +118,6 @@ def literal_base_demand(h0, spec, demand, matroid_s) -> tuple[int, ...]:
             j = t_part.bit_length() - 1
             degree_slack = spec.m_t[j] - s_part.bit_count() + h0.t_degree(j)
             value = max(value, degree_slack)
-        vals[v_mask] = value
-    return tuple(vals)
-
-
-def literal_base_demand_source_only(h0, demand, matroid_s) -> tuple[int, ...]:
-    """``base_demand_source_only``'s values, one full-ground mask at a time."""
-    vals = [0] * (1 << h0.grounds.n_v)
-    for v_mask, (_, _, value) in _closed_mask_slack(h0, demand, matroid_s).items():
         vals[v_mask] = value
     return tuple(vals)
 
@@ -623,3 +603,34 @@ def sliced_locally_valid(n, rank):
 def literal_subset_key(ground, mask):
     """A demand table's key for ``mask``: the names it holds, sorted, comma-joined."""
     return ",".join(sorted(ground[i] for i in range(len(ground)) if mask >> i & 1))
+
+
+def literal_validate_witness(inst, graph):
+    """``harness.validate_witness``, counting degrees and neighbourhoods edge by edge."""
+    problems = []
+    g = inst.grounds
+    edges = list(graph.edges)
+    if inst.degrees is not None:
+        for i in range(g.n_s):
+            got = sum(1 for s, _ in edges if s == i)
+            if got != inst.degrees.m_s[i]:
+                problems.append(f"degree of left node {i} is {got}, wanted {inst.degrees.m_s[i]}")
+        if inst.degrees.m_t is not None:
+            for j in range(g.n_t):
+                got = sum(1 for _, t in edges if t == j)
+                if got != inst.degrees.m_t[j]:
+                    problems.append(f"degree of right node {j} is {got}, wanted {inst.degrees.m_t[j]}")
+    combined = edges + list(inst.initial.edges)
+    if len(set(combined)) != len(combined):
+        problems.append("witness union with the initial graph has parallel edges")
+    if inst.demand is not None:
+        for r in range(g.n_t + 1):
+            for combo in combinations(range(g.n_t), r):
+                nbr_mask = 0
+                for s, t in combined:
+                    if t in combo:
+                        nbr_mask |= 1 << s
+                y_mask = sum(1 << j for j in combo)
+                if inst.matroid_s.rank_of(nbr_mask) < inst.demand.value(y_mask):
+                    problems.append(f"demand uncovered on right subset mask {y_mask}")
+    return problems

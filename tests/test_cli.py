@@ -3,6 +3,7 @@ and the fuzz harness self-test."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import re
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from termrank import cli
 from termrank.bigraph import Bigraph, DegreeSpec, GroundSets
 from termrank.cli import main
 from termrank.errors import InstanceError
 from termrank.feasibility import Instance, check_msmt, recompute_lhs
-from termrank.harness import FuzzConfig, run_fuzz, verify_msmt
+from termrank.harness import FUZZ_MODES, FuzzConfig, run_fuzz, verify_msmt
 from termrank.jsonio import (
     dumps,
     instance_to_json,
@@ -407,3 +409,76 @@ def test_cli_check_answers_the_largest_packing_family(capsys):
     _, inst = load_instance(json.loads(path.read_text(encoding="utf-8")))
     cert = check_msmt(inst)
     assert recompute_lhs(cert, inst) == cert.lhs == payload["certificate"]["lhs"] > cert.rhs
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+
+def msmt_path(tmp_path):
+    return write(tmp_path, "msmt.json", {
+        "mode": "msmt", "S": ["s1", "s2"], "T": ["t1", "t2"],
+        "m_S": {"s1": 1, "s2": 1}, "m_T": {"t1": 1, "t2": 1},
+        "matroid_S": {"kind": "free"}, "matroid_T": {"kind": "uniform", "k": 1},
+    })
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    path = msmt_path(tmp_path)
+    assert main(["check", path]) == 0
+    assert len(built) == 5  # the parser and its four subcommands
+    for argv in (["check", path], ["solve", path], ["fuzz", "--count", "1"]):
+        assert main(argv) == 0
+    assert len(built) == 5
+    capsys.readouterr()
+
+
+def run_json(capsys, argv) -> dict:
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_no_option_leaks_into_the_next_call(tmp_path, capsys):
+    path = msmt_path(tmp_path)
+    assert run_json(capsys, ["solve", path, "--route", "brute"])["stats"]["route"] == "brute"
+    assert run_json(capsys, ["solve", path])["stats"]["route"] == "cover"
+    assert run_json(capsys, ["check", path, "--mode", "fully"])["stats"]["mode"] == "fully"
+    assert run_json(capsys, ["check", path])["stats"]["mode"] == "msmt"
+    narrow = run_json(capsys, ["fuzz", "--modes", "ore", "--max-s", "2", "--count", "1"])["config"]
+    assert (narrow["modes"], narrow["max_s"]) == (["ore"], 2)
+    wide = run_json(capsys, ["fuzz", "--count", "1"])["config"]
+    assert (wide["modes"], wide["max_s"]) == (list(FUZZ_MODES), 4)
+
+
+def test_a_replaced_command_is_the_one_called(tmp_path, capsys, monkeypatch):
+    path = msmt_path(tmp_path)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.path) or 7)
+    assert main(["check", path]) == 7
+    assert seen == [path]
+
+
+def test_bad_arguments_exit_2_through_argparse(tmp_path, capsys):
+    path = msmt_path(tmp_path)
+    for argv in (["solve", path, "--route", "sideways"], ["fuzz", "--count", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: termrank")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: termrank check")
+    assert main(["check", path]) == 0  # the parser still answers
+    capsys.readouterr()

@@ -14,9 +14,11 @@ from termrank.bigraph import (
     Bigraph,
     DegreeSpec,
     GroundSets,
+    bipartite_complement,
     fits,
     graph_union,
     matching_number,
+    neighborhood,
 )
 from termrank.cover import (
     ArcCover,
@@ -37,6 +39,7 @@ from termrank.errors import InfeasibleError, InstanceError, PreconditionError, T
 from termrank.feasibility import Instance, ViolationCert, check_brualdi, check_msmt
 from termrank.harness import (
     FuzzConfig,
+    _random_initial,
     random_brualdi_case,
     random_msmt_instance,
     validate_matching,
@@ -54,7 +57,7 @@ from termrank.setfun import (
     st_independent,
 )
 
-from .oracles import is_matching
+from .oracles import is_matching, literal_validate_witness
 from .test_modes import body, run_cli
 
 
@@ -295,6 +298,35 @@ def test_construct_via_cover_postconditions_on_randoms():
         assert plus.simple
         assert matroid_covers(plus, inst.matroid_s, inst.demand)
     assert built_count > 15
+
+
+@pytest.mark.parametrize("n_s, n_t", [(3, 3), (6, 6), (2, 10), (10, 2)])
+def test_validate_witness_matches_the_literal_edge_scan(n_s, n_t):
+    rng = random.Random(53 + n_s)
+    g = grounds(n_s, n_t)
+    ms = Matroid.uniform(g.s_ids, min(n_s, 3))
+    ordered = 0  # cases with two or more uncovered sets, whose order counts
+    for _ in range(8):
+        initial = _random_initial(rng, g, rng.choice((0.0, 0.25)))
+        witness = Bigraph(g, tuple(e for e in bipartite_complement(initial).edges if rng.random() < 0.4))
+        plus = graph_union(witness, initial)
+        # a demand the witness meets, then one raised on a few sets
+        met = [ms.rank[neighborhood(plus, y)] - rng.choice((0, 0, 1)) for y in range(1 << n_t)]
+        raised = list(met)
+        for y in rng.sample(range(1 << n_t), min(4, 1 << n_t)):
+            raised[y] += 2
+        degrees = DegreeSpec(g, witness.s_degrees, witness.t_degrees)
+        graphs = [witness, Bigraph(g, witness.edges[1:]), Bigraph(g, witness.edges + initial.edges[:1])]
+        for values in (met, raised):
+            inst = Instance.make(g, initial=initial, degrees=degrees, matroid_s=ms,
+                                 demand=SetFunction(g.t_ids, tuple(values)))
+            for graph in graphs:
+                got = validate_witness(inst, graph)
+                assert got == literal_validate_witness(inst, graph)
+                ordered += sum(p.startswith("demand uncovered") for p in got) >= 2
+        assert validate_witness(Instance.make(g, initial=initial, degrees=degrees, matroid_s=ms,
+                                              demand=SetFunction(g.t_ids, tuple(met))), witness) == []
+    assert ordered >= 8
 
 
 def test_construct_brute_zero_degrees():

@@ -3,14 +3,18 @@ equivalences on seeded random instances."""
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from termrank import cli
 from termrank.bigraph import (
     Bigraph,
     DegreeSpec,
     GroundSets,
+    bipartite_complement,
     matching_number,
 )
 from termrank.cover import construct_brute
@@ -33,12 +37,16 @@ from termrank.feasibility import (
 )
 from termrank.harness import (
     FuzzConfig,
+    _random_degrees,
+    _random_initial,
+    _random_matroid,
     random_ms_only_instance,
     random_msmt_instance,
     random_ore_instance,
 )
+from termrank.jsonio import load_instance
 from termrank.matroid import Matroid
-from termrank.setfun import constant, from_corank
+from termrank.setfun import SetFunction, constant, from_corank
 
 from .oracles import naive_subgraph_exists, set_partitions, subpartitions
 
@@ -187,8 +195,6 @@ def test_msmt_planted_instances_pass():
 def test_msmt_requires_classified_demand():
     # two positive sets meeting in the middle node break the inequality
     g = grounds(2, 3)
-    from termrank.setfun import SetFunction
-
     vals = [0] * 8
     vals[0b011] = 2  # {t1, t2}
     vals[0b110] = 2  # {t2, t3}
@@ -270,8 +276,6 @@ def test_ms_only_equals_exhaustive_search():
 
 def test_fully_requires_fully_supermodular():
     g = grounds(2, 2)
-    from termrank.setfun import SetFunction
-
     # disjoint singletons break the unrestricted inequality but are exempt
     # from the meeting-pairs one, so only the stricter checker rejects
     not_full = SetFunction(g.t_ids, (0, 1, 1, 1))
@@ -315,6 +319,55 @@ def test_csak_mon_matches_fully_on_monotone_synthesis():
         cases += 1
         assert (check_csak_mon(inst) is None) == (check_fully(inst) is None)
     assert cases > 20
+
+
+# ---------------------------------------------------------------------------
+# arbitrary demand tables, the empty set's entry included
+
+SUBPARTITION_CHECKERS = {"msmt": check_msmt, "ms_only": check_ms_only, "fully": check_fully}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("mode", SUBPARTITION_CHECKERS)
+def test_positive_empty_set_demand_is_infeasible(tmp_path, capsys, mode, command):
+    # no graph meets it: the empty set has no neighbours, and they have rank 0
+    data = {"mode": mode, "S": ["s1"], "T": ["t1"], "m_S": {"s1": 1},
+            "matroid_S": {"kind": "free"}, "demand": {"ground": ["t1"], "values": {"": 1, "t1": 0}}}
+    if mode != "ms_only":
+        data.update(m_T={"t1": 1}, h0=[])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main([command, str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    _, inst = load_instance(data)
+    cert = SUBPARTITION_CHECKERS[mode](inst)
+    assert recompute_lhs(cert, inst) == cert.lhs == payload["certificate"]["lhs"] > cert.rhs
+
+
+def test_subpartition_checkers_match_brute_force_on_arbitrary_demands():
+    rng = random.Random(61)
+    decided = {mode: 0 for mode in SUBPARTITION_CHECKERS}
+    empty_positive = 0
+    for _ in range(1000):
+        g = grounds(rng.randint(1, 3), rng.randint(1, 3))
+        initial = _random_initial(rng, g, rng.choice((0.0, 0.25, 0.5)))
+        degrees = _random_degrees(rng, g, 2, host=bipartite_complement(initial))
+        demand = SetFunction(g.t_ids, tuple(rng.choice((-1, 0, 1, 2)) for _ in range(1 << g.n_t)))
+        both = Instance.make(g, initial=initial, degrees=degrees,
+                             matroid_s=_random_matroid(rng, g.s_ids), demand=demand)
+        left = replace(both, degrees=DegreeSpec(g, degrees.m_s, None))
+        empty_positive += demand.values[0] > 0
+        for mode, check in SUBPARTITION_CHECKERS.items():
+            inst = left if mode == "ms_only" else both
+            try:
+                cert = check(inst)
+            except PreconditionError:
+                continue
+            decided[mode] += 1
+            assert (cert is None) == (construct_brute(inst) is not None), (mode, inst)
+            if cert is not None:
+                assert recompute_lhs(cert, inst) == cert.lhs > cert.rhs
+    assert min(decided.values()) > 300 and empty_positive > 300
 
 
 # ---------------------------------------------------------------------------

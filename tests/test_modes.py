@@ -326,6 +326,9 @@ MALFORMED_ID_LIST_CASES = [
         with_fields("msmt", demand={**_DEMAND, "ground": 5}),
         None, "demand.ground: must be a list of string node ids",
     ),
+    # demand keys would read one value for {t1, t2} and {"t1,t2"}
+    (with_fields("msmt", T=["t1", "t2", "t1,t2"]), None, "T: node id 't1,t2' must be non-empty and hold no ','"),
+    (with_fields("ore", T=["t1", ""]), None, "T: node id '' must be non-empty and hold no ','"),
 ]
 
 

@@ -13,7 +13,6 @@ from termrank.matroid import Matroid
 from termrank.setfun import (
     SetFunction,
     base_demand,
-    base_demand_source_only,
     classify_supermodular,
     closed_family,
     constant,
@@ -35,9 +34,7 @@ from termrank.harness import (
 
 from .oracles import (
     literal_base_demand,
-    literal_base_demand_source_only,
     naive_base_lift,
-    naive_source_only_lift,
     rank_over_names,
 )
 
@@ -215,21 +212,6 @@ def test_base_lift_matches_naive_literal_evaluation():
             assert lift.value(v_mask) == want
 
 
-def test_source_only_lift_matches_naive():
-    rng = random.Random(22)
-    for _ in range(40):
-        inst = random_msmt_instance(rng, FuzzConfig(max_s=3, max_t=3))
-        g = inst.grounds
-        lift = base_demand_source_only(inst.initial, inst.demand, inst.matroid_s)
-        dem_of = lambda t_sub: inst.demand.values[sum(1 << j for j in t_sub)]
-        naive = naive_source_only_lift(
-            list(inst.initial.edges), g.n_s, g.n_t, dem_of, rank_over_names(inst.matroid_s)
-        )
-        for (s_sub, t_sub), want in naive.items():
-            v_mask = g.v_mask(sum(1 << i for i in s_sub), sum(1 << j for j in t_sub))
-            assert lift.value(v_mask) == want
-
-
 @pytest.mark.parametrize("n_s, n_t", [(6, 6), (2, 10), (10, 2)])
 def test_row_wise_lifts_equal_the_per_mask_forms_at_the_cap(n_s, n_t):
     rng = random.Random(26 + n_s)
@@ -240,20 +222,6 @@ def test_row_wise_lifts_equal_the_per_mask_forms_at_the_cap(n_s, n_t):
         ms = _random_matroid(rng, g.s_ids)
         dem, _fully = _random_demand(rng, g.t_ids)
         assert base_demand(h0, spec, dem, ms).values == literal_base_demand(h0, spec, dem, ms)
-        assert base_demand_source_only(h0, dem, ms).values == literal_base_demand_source_only(
-            h0, dem, ms
-        )
-
-
-def test_source_only_lift_simple_cases():
-    g, h0, spec, dem, free = tiny_instance()
-    lift = base_demand_source_only(h0, dem, free)
-    # empty initial graph, free matroid: pure demand on right subsets
-    for t_mask in range(4):
-        assert lift.value(g.v_mask(0, t_mask)) == dem.value(t_mask)
-    blocked = Bigraph(g, ((0, 0),))
-    lift = base_demand_source_only(blocked, dem, free)
-    assert lift.value(g.v_mask(0, 0b01)) == 0  # not in the closed family
 
 
 def test_full_lift_overrides_meter_sets():
@@ -333,7 +301,7 @@ def test_lift_builders_validate_inputs():
         base_demand(h0, DegreeSpec(g, (1, 1), None), dem, free)
     multigraph = Bigraph(g, ((0, 0), (0, 0)))
     with pytest.raises(InstanceError):
-        base_demand_source_only(multigraph, dem, free)
+        base_demand(multigraph, spec, dem, free)
     base = base_demand(h0, spec, dem, free)
     with pytest.raises(InstanceError):
         full_demand(constant(other.s_ids + other.t_ids, 0), h0, spec)
